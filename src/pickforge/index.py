@@ -38,6 +38,9 @@ from .versioning import (
 
 CACHE_ENV_VAR = "PICKFORGE_CACHE"
 
+# seconds an HTTP source may stall one request before the load fails
+FETCH_TIMEOUT_S = 30
+
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
 # validation issue kinds
@@ -233,7 +236,7 @@ def _resolve_cache_dir(cache_dir: str | Path | None) -> Path:
 
 def _fetch(url: str) -> bytes:
     try:
-        with urllib.request.urlopen(url) as response:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             return response.read()
     except (urllib.error.URLError, OSError) as exc:
         raise RepositoryError(f"unreachable source {url}: {exc}") from exc
@@ -251,15 +254,17 @@ def _mirror_http_source(base_url: str, cache_dir: Path) -> Path:
         (staging / "index.json").write_bytes(index_bytes)
         index = _parse_json(index_bytes, f"{base_url}/index.json")
         for name in _index_package_names(index, f"{base_url}/index.json"):
+            listing_url = f"{base_url}/packages/{name}/versions.json"
+            versions_bytes = _fetch(listing_url)
+            listed = _parse_json(versions_bytes, listing_url)
+            if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
+                raise RepositoryError(f"{listing_url}: expected a list of version strings")
+            # a version that parses is digits, dots and a tag: safe in a path
+            for i, version_text in enumerate(listed):
+                _parse_field(version_text, parse_version, listing_url, f"[{i}]")
             pkg_dir = staging / "packages" / name
             pkg_dir.mkdir(parents=True)
-            versions_bytes = _fetch(f"{base_url}/packages/{name}/versions.json")
             (pkg_dir / "versions.json").write_bytes(versions_bytes)
-            listed = _parse_json(versions_bytes, f"{base_url}/packages/{name}/versions.json")
-            if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
-                raise RepositoryError(
-                    f"{base_url}/packages/{name}/versions.json: expected a list of version strings"
-                )
             for version_text in listed:
                 manifest_bytes = _fetch(f"{base_url}/packages/{name}/{version_text}.json")
                 (pkg_dir / f"{version_text}.json").write_bytes(manifest_bytes)
@@ -291,6 +296,10 @@ def _index_package_names(index, context: str) -> list[str]:
     names = index["packages"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise RepositoryError(f"{context}: field 'packages' must be a list of names")
+    # names become path components, so check them before any path is built
+    for name in names:
+        if not _NAME_RE.fullmatch(name):
+            raise RepositoryError(f"{context}: invalid package name {name!r}")
     return names
 
 
@@ -309,8 +318,6 @@ def _load_local(root: Path) -> Repository:
     )
     packages: dict[str, dict[Version, PackageManifest]] = {}
     for name in names:
-        if not _NAME_RE.match(name):
-            raise RepositoryError(f"{index_path}: invalid package name {name!r}")
         if name in packages:
             raise RepositoryError(f"{index_path}: duplicate package name {name!r}")
         packages[name] = _load_package_dir(root / "packages" / name, name)

@@ -21,9 +21,11 @@ lexicographic objective:
    versions over older ones.
 
 ``resolve_pick`` finds the optimum by staged greedy descent backed by a
-complete backtracking search; ``enumerate_best`` recomputes it by
-exhaustive enumeration and serves as the reference implementation for
-testing.  Both are pure and deterministic.
+complete depth-first search with conflict-directed backjumping over
+candidate tables built once per request (``_SearchSpace``, ``_search``);
+``enumerate_best`` recomputes it by exhaustive enumeration and serves as
+the reference implementation for testing.  Both are pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import PickforgeError
-from .index import Repository, UnknownPackageError
+from .index import Repository, UnknownPackageError, compatible_versions
 from .versioning import Constraint, Version, compare_versions, satisfies
 
 # verify_pick violation kinds
@@ -192,12 +194,7 @@ def _candidate_versions(
     one version and bypass the dev filter."""
     if name in overrides:
         return (overrides[name],)
-    return tuple(
-        v
-        for v in sorted(repo.packages[name], reverse=True)
-        if satisfies(toolchain, repo.packages[name][v].toolchain)
-        and (include_dev or not repo.packages[name][v].dev)
-    )
+    return tuple(compatible_versions(repo, name, toolchain, include_dev))
 
 
 def _version_ranks(repo: Repository) -> dict[str, dict[Version, int]]:
@@ -306,51 +303,107 @@ def _unsat_report(repo: Repository, req: SelectionRequest, sat) -> UnsatReport:
     return UnsatReport(culprits=culprits, narrative=tuple(narrative))
 
 
-# --- backtracking resolver ----------------------------------------------------
+# --- backjumping resolver -----------------------------------------------------
 
 
 class _SearchSpace:
-    """Precomputed candidate domains and adjacency for one request."""
+    """Candidate tables for one request, built once and shared by its searches.
+
+    Every selectable (name, version) is a candidate with an integer id.
+    ``domains[name]`` holds a package's selectable versions, newest first,
+    and ``ids[name]`` their ids in the same order; ``versions[c]`` maps an id
+    back.  ``requires[c]`` names the packages candidate ``c`` depends on, and
+    ``blocked[c]`` holds every candidate that cannot be selected together
+    with ``c``: one of the two depends on the other's package and the other's
+    version does not satisfy that dependency, or one conflicts with the
+    other.  The search reads only these tables, so it never compares versions.
+    """
 
     def __init__(self, repo: Repository, req: SelectionRequest):
-        self.repo = repo
-        self.domains: dict[str, tuple[Version, ...]] = {}
-        self.dep_map: dict[tuple[str, Version], dict[str, Constraint]] = {}
-        self.conflict_map: dict[tuple[str, Version], dict[str, Constraint]] = {}
+        self.versions: list[Version] = []
+        self.ids: dict[str, tuple[int, ...]] = {}
+        manifests = []
         for name in repo.packages:
             domain = _candidate_versions(
                 repo, req.toolchain, req.include_dev, req.overrides, name
             )
-            self.domains[name] = domain
-            for version in domain:
-                manifest = repo.packages[name][version]
-                self.dep_map[(name, version)] = dict(manifest.depends)
-                self.conflict_map[(name, version)] = dict(manifest.conflicts)
-        self._prune_unmeetable()
+            self.ids[name] = tuple(range(len(self.versions), len(self.versions) + len(domain)))
+            self.versions.extend(domain)
+            manifests.extend(repo.packages[name][version] for version in domain)
+
+        def matching(target: str, constraint: Constraint) -> frozenset[int]:
+            return frozenset(
+                c for c in self.ids[target] if satisfies(self.versions[c], constraint)
+            )
+
+        depends = [
+            [(dep, matching(dep, constraint)) for dep, constraint in manifest.depends]
+            for manifest in manifests
+        ]
+        self._prune_unmeetable(depends)
+        self.domains = {
+            name: tuple(self.versions[c] for c in ids) for name, ids in self.ids.items()
+        }
+        self.requires = [tuple(dep for dep, _ in edges) for edges in depends]
+        blocked: list[set[int]] = [set() for _ in manifests]
+        for ids in self.ids.values():
+            for c in ids:
+                clashing = [
+                    other
+                    for dep, allowed in depends[c]
+                    for other in self.ids[dep]
+                    if other not in allowed
+                ]
+                for target, constraint in manifests[c].conflicts:
+                    clashing.extend(matching(target, constraint))
+                for other in clashing:
+                    blocked[c].add(other)
+                    blocked[other].add(c)
+        self.blocked = [frozenset(b) for b in blocked]
         # optionals that can never be selected are dropped from branching;
         # they contribute nothing to any selection's optional count
-        self.live_optionals = tuple(o for o in sorted(req.optional) if self.domains[o])
+        self.live_optionals = tuple(o for o in sorted(req.optional) if self.ids[o])
 
-    def _prune_unmeetable(self) -> None:
-        """Arc consistency over dependency edges: drop versions with a
-        dependency no remaining version of the target can satisfy.  Pruned
-        versions cannot appear in any feasible selection, so this only
+    def _prune_unmeetable(self, depends: list[list[tuple[str, frozenset[int]]]]) -> None:
+        """Arc consistency over dependency edges: drop candidates with a
+        dependency no remaining candidate of the target satisfies.  Pruned
+        candidates cannot appear in any feasible selection, so this only
         shrinks the search, never its solution set."""
         changed = True
         while changed:
             changed = False
-            for name in sorted(self.domains):
+            for name in sorted(self.ids):
                 kept = tuple(
-                    version
-                    for version in self.domains[name]
-                    if all(
-                        any(satisfies(w, constraint) for w in self.domains[dep])
-                        for dep, constraint in self.dep_map[(name, version)].items()
-                    )
+                    c
+                    for c in self.ids[name]
+                    if all(not allowed.isdisjoint(self.ids[dep]) for dep, allowed in depends[c])
                 )
-                if len(kept) != len(self.domains[name]):
-                    self.domains[name] = kept
+                if len(kept) != len(self.ids[name]):
+                    self.ids[name] = kept
                     changed = True
+
+
+_OUT = -1  # the value of an optional's choice point that leaves it out
+
+
+@dataclass(slots=True)
+class _ChoicePoint:
+    """One level of the search stack: a package and the values left to try.
+
+    ``cause`` is the level whose assignment pulled the package in (None for
+    a root or an optional, which need no cause); ``position`` is an
+    optional's index in the branching order (None for a pulled package);
+    ``conflicts`` collects the levels that refuted the values tried so far.
+    """
+
+    name: str
+    values: tuple[int, ...]
+    cause: int | None
+    position: int | None
+    next: int = 0
+    value: int | None = None
+    pulled: list[str] = field(default_factory=list)
+    conflicts: set[int] = field(default_factory=set)
 
 
 def _search(
@@ -370,87 +423,134 @@ def _search(
     undecided ``optionals`` are branched over, and the selection must include
     at least ``min_count`` optionals overall.  The search is exhaustive, so
     a None result proves infeasibility.
+
+    The search is depth first over an explicit stack of choice points, one
+    per level: the smallest pending (required but unassigned) name takes
+    each of its candidates newest first; with nothing pending, the first
+    undecided optional takes each candidate, then "out".  Every failure
+    yields a conflict set, the levels whose decisions jointly refute it:
+
+    - a rejected candidate: the earliest level that assigned a candidate
+      blocking it, or excluded one of its dependencies (none when the
+      request itself excluded it);
+    - an exhausted choice point: the union of its values' conflict sets,
+      less its own level, plus the level that pulled the package in;
+    - too few optionals left to reach ``min_count``: the levels of the
+      optionals left out so far;
+    - a complete selection missing a ``forced_present`` name: every level.
+
+    A failed subtree whose conflict set lacks the level of the choice point
+    above it is independent of that choice, so the search backjumps past the
+    point without trying its other values (conflict-directed backjumping,
+    Prosser 1993).  Only subtrees without a solution are skipped, so the
+    first solution found is the one chronological backtracking finds.
     """
-    def domain(name: str) -> tuple[Version, ...]:
-        pin = pins.get(name)
-        if pin is not None:
-            return (pin,)
-        return space.domains[name]
+    pinned = {
+        name: (space.ids[name][space.domains[name].index(version)],)
+        for name, version in pins.items()
+    }
+
+    def domain(name: str) -> tuple[int, ...]:
+        return pinned.get(name) or space.ids[name]
 
     if any(name in absent or not domain(name) for name in roots):
         return None
-    assigned: dict[str, Version] = {}
-    excluded = set(absent)
-    pending = set(roots)
-    optional_set = frozenset(optionals)
-    count = 0
+    requires, blocked = space.requires, space.blocked
+    chosen: dict[str, int] = {}  # name -> its candidate
+    level_of: dict[int, int] = {}  # assigned candidate -> its level
+    excluded: dict[str, int | None] = dict.fromkeys(absent)  # name -> level, None if absent
+    pending: dict[str, int | None] = dict.fromkeys(roots)  # name -> level that pulled it in
+    # the count bound fails once more names are excluded than this
+    max_excluded = len(absent) + len(optionals) - min_count - len(absent.intersection(optionals))
+    stack: list[_ChoicePoint] = []
+    positions: list[int] = []  # positions of the optional choice points on the stack
 
-    def consistent(name: str, version: Version) -> bool:
-        for dep, constraint in space.dep_map[(name, version)].items():
-            if dep in excluded or not domain(dep):
-                return False
-            dep_version = assigned.get(dep)
-            if dep_version is not None and not satisfies(dep_version, constraint):
-                return False
-        for other, constraint in space.conflict_map[(name, version)].items():
-            other_version = assigned.get(other)
-            if other_version is not None and satisfies(other_version, constraint):
-                return False
-        for other, other_version in assigned.items():
-            constraint = space.dep_map[(other, other_version)].get(name)
-            if constraint is not None and not satisfies(version, constraint):
-                return False
-            constraint = space.conflict_map[(other, other_version)].get(name)
-            if constraint is not None and satisfies(version, constraint):
-                return False
-        return True
+    def refuter(candidate: int) -> int | None:
+        """The earliest level whose decision rules ``candidate`` out: -1
+        when the request does, None when the candidate is consistent."""
+        levels = [excluded[dep] for dep in requires[candidate] if dep in excluded]
+        if None in levels:
+            return -1
+        levels.extend(level_of[other] for other in blocked[candidate] if other in level_of)
+        return min(levels, default=None)
 
-    def recurse() -> bool:
-        nonlocal count
-        if pending:
-            name = min(pending)
-            pending.discard(name)
-            for version in domain(name):
-                if not consistent(name, version):
-                    continue
-                assigned[name] = version
-                if name in optional_set:
-                    count += 1
-                pulled = []
-                for dep in space.dep_map[(name, version)]:
-                    if dep not in assigned and dep not in pending:
-                        pulled.append(dep)
-                        pending.add(dep)
-                if recurse():
-                    return True
-                for dep in pulled:
-                    pending.discard(dep)
-                del assigned[name]
-                if name in optional_set:
-                    count -= 1
-            pending.add(name)
-            return False
-        undecided = [o for o in optionals if o not in assigned and o not in excluded]
-        if count + len(undecided) < min_count:
-            return False
-        if not undecided:
-            if count < min_count:
-                return False
-            return all(name in assigned for name in forced_present)
-        choice = undecided[0]
-        pending.add(choice)
-        if recurse():
-            return True
-        pending.discard(choice)
-        excluded.add(choice)
-        if recurse():
-            return True
-        excluded.discard(choice)
-        return False
+    def retract(point: _ChoicePoint) -> None:
+        if point.value == _OUT:
+            del excluded[point.name]
+        elif point.value is not None:
+            del chosen[point.name]
+            del level_of[point.value]
+            for dep in point.pulled:
+                del pending[dep]
+        point.value = None
 
-    if recurse():
-        return dict(assigned)
-    return None
+    def leave(point: _ChoicePoint) -> None:
+        stack.pop()
+        if point.position is None:
+            pending[point.name] = point.cause
+        else:
+            positions.pop()
+
+    failure: set[int] | None = None
+    while True:
+        if failure is None:
+            # the top choice point holds a consistent value: open the next one
+            if pending:
+                name = min(pending)
+                stack.append(_ChoicePoint(name, domain(name), pending.pop(name), None))
+            elif len(excluded) > max_excluded:
+                failure = {level for level in excluded.values() if level is not None}
+            else:
+                position = positions[-1] + 1 if positions else 0
+                while position < len(optionals) and (
+                    optionals[position] in chosen or optionals[position] in excluded
+                ):
+                    position += 1
+                if position < len(optionals):
+                    name = optionals[position]
+                    stack.append(_ChoicePoint(name, domain(name) + (_OUT,), None, position))
+                    positions.append(position)
+                elif all(name in chosen for name in forced_present):
+                    return {name: space.versions[c] for name, c in chosen.items()}
+                else:
+                    failure = set(range(len(stack)))
+        if failure is not None:
+            # backjump to the deepest level the failure depends on
+            while stack and len(stack) - 1 not in failure:
+                retract(stack[-1])
+                leave(stack[-1])
+            if not stack:
+                return None
+            retract(stack[-1])
+            failure.discard(len(stack) - 1)
+            stack[-1].conflicts |= failure
+            failure = None
+        # move the top choice point to its next value no earlier level rules out
+        point = stack[-1]
+        level = len(stack) - 1
+        while point.next < len(point.values):
+            value = point.values[point.next]
+            point.next += 1
+            if value == _OUT:
+                excluded[point.name] = level
+                point.value = value
+                break
+            culprit = refuter(value)
+            if culprit is None:
+                chosen[point.name] = value
+                level_of[value] = level
+                point.value = value
+                point.pulled = [d for d in requires[value] if d not in chosen and d not in pending]
+                for dep in point.pulled:
+                    pending[dep] = level
+                break
+            if culprit >= 0:
+                point.conflicts.add(culprit)
+        else:
+            failure = point.conflicts
+            if point.cause is not None:
+                failure.add(point.cause)
+            leave(point)
 
 
 def _reachable_universe(space: _SearchSpace, roots: frozenset[str]) -> set[str]:
@@ -459,8 +559,8 @@ def _reachable_universe(space: _SearchSpace, roots: frozenset[str]) -> set[str]:
     stack = list(roots)
     while stack:
         name = stack.pop()
-        for version in space.domains[name]:
-            for dep in space.dep_map[(name, version)]:
+        for c in space.ids[name]:
+            for dep in space.requires[c]:
                 if dep not in seen:
                     seen.add(dep)
                     stack.append(dep)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import http.server
+import json
 import threading
 from functools import partial
 from pathlib import Path
@@ -58,6 +59,42 @@ def make_repo(toolchains, manifests) -> Repository:
     return Repository(
         toolchains=tuple(parse_version(t) for t in toolchains), packages=packages
     )
+
+
+def write_fixture(root: Path, toolchains, manifests) -> None:
+    """Write raw manifest dicts in the on-disk index layout."""
+    by_name: dict[str, list[dict]] = {}
+    for manifest in manifests:
+        by_name.setdefault(manifest["name"], []).append(manifest)
+    (root / "index.json").write_text(
+        json.dumps({"toolchains": toolchains, "packages": sorted(by_name)})
+    )
+    for name, entries in by_name.items():
+        pkg_dir = root / "packages" / name
+        pkg_dir.mkdir(parents=True)
+        (pkg_dir / "versions.json").write_text(
+            json.dumps([e["version"] for e in entries])
+        )
+        for entry in entries:
+            (pkg_dir / f"{entry['version']}.json").write_text(json.dumps(entry))
+
+
+def raw_manifest(name, version, **overrides) -> dict:
+    base = {
+        "name": name,
+        "version": version,
+        "toolchain": "*",
+        "depends": [],
+        "conflicts": [],
+        "dev": False,
+        "source_ref": None,
+        "deprecated": False,
+        "maintainer": "m@example.org",
+        "build_cmd": "true",
+        "smoke_cmd": "true",
+    }
+    base.update(overrides)
+    return base
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,13 @@ import sys
 
 import pytest
 
-from conftest import PLATFORM_FIXTURE, SMOKE_FIXTURE, RELEASE_UNIVERSE_EXCLUDES
+from conftest import (
+    PLATFORM_FIXTURE,
+    RELEASE_UNIVERSE_EXCLUDES,
+    SMOKE_FIXTURE,
+    raw_manifest,
+    write_fixture,
+)
 from pickforge.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_UNSAT, EXIT_USAGE, main
 
 
@@ -447,3 +453,65 @@ class TestReleaseStdout:
         payload = json.loads(out)
         assert payload["version"] == "2022.01.0"
         assert len(payload["picks"]) == 4
+
+
+class TestSearchScale:
+    def test_deep_dependency_chain(self, capsys, tmp_path):
+        # every package depends on the one before it; a recursive search
+        # exhausted the interpreter's stack on chains of about 500
+        names = [f"c{i:04d}" for i in range(1200)]
+        write_fixture(
+            tmp_path,
+            ["8.15"],
+            [raw_manifest(names[0], "1.0")]
+            + [raw_manifest(name, "1.0", depends=[[prev, "*"]])
+               for prev, name in zip(names, names[1:])],
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "resolve", "--index", str(tmp_path), "--toolchain", "8.15",
+            "--mandatory", names[-1], "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert sorted(json.loads(out)["selected"]) == names
+        code, out, _ = run_cli(
+            capsys, "release", "--index", str(tmp_path), "--version", "2022.01.0",
+            "--output", "-",
+        )
+        assert code == EXIT_OK
+        [pick] = json.loads(out)["picks"]
+        assert sorted(pick["selected"]) == names
+        assert pick["excluded"] == {}
+
+    @pytest.mark.parametrize("kind", ["conflict", "hub"])
+    def test_planted_clash_behind_many_fillers(self, tmp_path, kind):
+        # 2**30 filler version combinations sort before the clash; without
+        # backjumping, each failing search walks all of them
+        fillers = [f"f{i:02d}" for i in range(30)]
+        manifests = [
+            raw_manifest(name, version, depends=[[prev, "*"]] if prev else [])
+            for prev, name in zip([None] + fillers, fillers)
+            for version in ("1.0", "2.0")
+        ]
+        expected = {name: "2.0" for name in fillers}
+        if kind == "conflict":
+            manifests += [raw_manifest("p-a", "1.0", conflicts=[["p-b", "*"]]),
+                          raw_manifest("p-b", "1.0")]
+        else:
+            manifests += [raw_manifest("hub", "1.0"), raw_manifest("hub", "2.0"),
+                          raw_manifest("p-a", "1.0", depends=[["hub", "<2.0"]]),
+                          raw_manifest("p-b", "1.0", depends=[["hub", ">=2.0"]])]
+            expected["hub"] = "1.0"
+        expected["p-a"] = "1.0"
+        write_fixture(tmp_path, ["8.15"], manifests)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pickforge.cli", "resolve", "--index", str(tmp_path),
+             "--toolchain", "8.15", "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["selected"] == expected
+        assert list(payload["excluded"]) == ["p-b"]

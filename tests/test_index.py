@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from conftest import PLATFORM_FIXTURE, make_repo, mf
+from conftest import PLATFORM_FIXTURE, make_repo, mf, raw_manifest, write_fixture
 from pickforge.index import (
     DANGLING_DEPENDENCY,
     KEY_MISMATCH,
@@ -20,42 +19,6 @@ from pickforge.index import (
     validate_repository,
 )
 from pickforge.versioning import parse_version, satisfies
-
-
-def write_fixture(root: Path, toolchains, manifests) -> None:
-    """Write raw manifest dicts in the on-disk index layout."""
-    by_name: dict[str, list[dict]] = {}
-    for manifest in manifests:
-        by_name.setdefault(manifest["name"], []).append(manifest)
-    (root / "index.json").write_text(
-        json.dumps({"toolchains": toolchains, "packages": sorted(by_name)})
-    )
-    for name, entries in by_name.items():
-        pkg_dir = root / "packages" / name
-        pkg_dir.mkdir(parents=True)
-        (pkg_dir / "versions.json").write_text(
-            json.dumps([e["version"] for e in entries])
-        )
-        for entry in entries:
-            (pkg_dir / f"{entry['version']}.json").write_text(json.dumps(entry))
-
-
-def raw_manifest(name, version, **overrides) -> dict:
-    base = {
-        "name": name,
-        "version": version,
-        "toolchain": "*",
-        "depends": [],
-        "conflicts": [],
-        "dev": False,
-        "source_ref": None,
-        "deprecated": False,
-        "maintainer": "m@example.org",
-        "build_cmd": "true",
-        "smoke_cmd": "true",
-    }
-    base.update(overrides)
-    return base
 
 
 class TestLoadLocal:
@@ -279,6 +242,26 @@ class TestHttpIngestion:
         with pytest.raises(RepositoryError, match="unreachable"):
             load_repository(url, cache_dir=cache)
         assert not any(p for p in cache.glob("*") if p.is_dir())
+
+    @pytest.mark.parametrize("hostile", ["name", "version"])
+    def test_hostile_listing_writes_nothing_outside_cache(self, serve_index, tmp_path, hostile):
+        start, _ = serve_index
+        source = tmp_path / "src"
+        source.mkdir()
+        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
+        if hostile == "name":
+            (source / "index.json").write_text(
+                json.dumps({"toolchains": ["8.15"], "packages": ["../../../escaped"]})
+            )
+        else:
+            # the server normalises the traversing request's path to this
+            # file, so an unchecked mirror fetches it and writes it out
+            (source / "packages" / "alpha" / "versions.json").write_text('["../../../../escaped"]')
+            (source / "escaped.json").write_text("{}")
+        with pytest.raises(RepositoryError, match="invalid package name|versions.json"):
+            load_repository(start(source), cache_dir=tmp_path / "cache")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "src"]
+        assert not any(p for p in (tmp_path / "cache").glob("*") if p.is_dir())
 
     def test_unreachable_source(self, tmp_path):
         with pytest.raises(RepositoryError, match="unreachable"):

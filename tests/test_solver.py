@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from conftest import make_repo, mf
-from pickforge.index import UnknownPackageError, validate_repository
+from pickforge.index import Repository, UnknownPackageError, validate_repository
 from pickforge.solver import (
     DEPENDENCY_MISSING,
     DEPENDENCY_VIOLATION,
@@ -367,3 +370,96 @@ def test_resolver_matches_exhaustive_reference(data):
                 include_dev=req.include_dev,
             )
             assert isinstance(enumerate_best(repo, sub), Pick)
+
+
+# --- structured oracle corpus ----------------------------------------------------
+
+SHAPED_CORPUS_SIZE = 300
+SHAPED_CORPUS_SEED = 1993
+SHAPED_SPACE_CAP = 3_000
+
+
+def _shaped_instance(rng: random.Random) -> tuple[Repository, SelectionRequest]:
+    """A small cliff- or unsat-shaped instance: multi-version fillers, then a
+    planted mutual conflict, hub clash or three-way core, then a tail.
+
+    Each filler version links to up to two earlier fillers, and now and then
+    to a planted package, which the search then pulls in.  Half the requests
+    make most packages optional and a few fillers mandatory (the planted
+    clash forces an exclusion); the rest make the fillers and the core
+    mandatory (the clash makes the request unsatisfiable).  Some pin an override, and some add dev snapshots and opt
+    into them.
+    """
+    kind = rng.choice(("conflict", "hub", "triangle"))
+    if kind == "conflict":
+        core = ["p-a", "p-b"]
+        planted = [mf("p-a", "1.0", conflicts=[("p-b", "*")]), mf("p-b", "1.0")]
+    elif kind == "hub":
+        core = ["p-a", "p-b"]
+        hub = rng.choice(("a-hub", "h-hub"))  # sorts before or after the fillers
+        planted = [
+            mf(hub, "1.0"),
+            mf(hub, "2.0"),
+            mf("p-a", "1.0", depends=[(hub, "<2.0")]),
+            mf("p-b", "1.0", depends=[(hub, ">=2.0")]),
+        ]
+    else:
+        # every pair of the three shares a hub version; all three share none
+        core = ["p-a", "p-b", "p-c"]
+        planted = [mf("r-hub", version) for version in ("1.0", "2.0", "3.0")]
+        planted += [
+            mf("p-a", "1.0", depends=[("r-hub", ">=2.0")]),
+            mf("p-b", "1.0", depends=[("r-hub", "!=2.0")]),
+            mf("p-c", "1.0", depends=[("r-hub", "<=2.0")]),
+        ]
+    fillers = [f"f{i}" for i in range(rng.randint(2, 5))]
+    manifests = []
+    for i, name in enumerate(fillers):
+        for version in ("1.0", "1.1", "2.0")[: rng.randint(2, 3)]:
+            links = sorted(rng.sample(fillers[:i], min(i, rng.randint(0, 2))))
+            depends = [(dep, rng.choice(("*", "*", ">=1.1", "<2.0"))) for dep in links]
+            if rng.random() < 0.15:
+                depends.append((rng.choice(core), "*"))
+            manifests.append(mf(name, version, depends=depends))
+        if rng.random() < 0.2:
+            manifests.append(mf(name, "3.0-dev", dev=True, source_ref="abc"))
+    manifests += planted
+    earlier = fillers + core
+    for i in range(rng.randint(0, 2)):
+        links = sorted(rng.sample(earlier, rng.randint(0, 2)))
+        manifests.append(mf(f"t{i}", "1.0", depends=[(dep, "*") for dep in links]))
+        earlier.append(f"t{i}")
+    repo = make_repo(["8.15"], manifests)
+    if rng.random() < 0.5:
+        mandatory = frozenset(rng.sample(fillers, rng.randint(0, len(fillers) // 2)))
+        # the rest can only be pulled in, so version fixing must force them
+        optional = frozenset(
+            name for name in sorted(repo.packages) if name not in mandatory and rng.random() < 0.75
+        )
+    else:
+        mandatory = frozenset(fillers + core)
+        optional = frozenset()
+    overrides = {}
+    if rng.random() < 0.3:
+        name = rng.choice(sorted(mandatory | optional))
+        overrides[name] = rng.choice(sorted(repo.packages[name]))
+    request = SelectionRequest(
+        toolchain=V("8.15"),
+        mandatory=mandatory,
+        optional=optional,
+        overrides=overrides,
+        include_dev=rng.random() < 0.3,
+    )
+    return repo, request
+
+
+def test_resolver_matches_reference_on_shaped_corpus():
+    rng = random.Random(SHAPED_CORPUS_SEED)
+    kept = 0
+    while kept < SHAPED_CORPUS_SIZE:
+        repo, req = _shaped_instance(rng)
+        if math.prod(len(versions) + 1 for versions in repo.packages.values()) > SHAPED_SPACE_CAP:
+            continue
+        kept += 1
+        assert validate_repository(repo) == []
+        assert resolve_pick(repo, req) == enumerate_best(repo, req), (kept, req)
