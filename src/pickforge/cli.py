@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import buildrun, policy, release, solver
@@ -30,14 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class CliConfig:
-    index_source: str
-    output_format: str = "text"
-    strict_removals: bool = False
-    cache_dir: str | None = None
 
 
 def _build_parser() -> _Parser:
@@ -111,12 +102,6 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(
-        index_source=getattr(args, "index", None) or "",
-        output_format=args.format,
-        strict_removals=getattr(args, "strict_removals", False),
-        cache_dir=getattr(args, "cache_dir", None),
-    )
     handler = {
         "resolve": cmd_resolve,
         "release": cmd_release,
@@ -128,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         "script": cmd_script,
     }[args.command]
     try:
-        return handler(config, args)
+        return handler(args)
     except (PickforgeError, OSError, ValueError) as exc:
         print(f"pickforge: error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -142,8 +127,8 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load_index(config: CliConfig) -> Repository:
-    return load_repository(config.index_source, cache_dir=config.cache_dir)
+def _load_index(args) -> Repository:
+    return load_repository(args.index, cache_dir=args.cache_dir)
 
 
 def _read_lockfile(path: str) -> Release:
@@ -203,18 +188,18 @@ def _print_unsat(report: UnsatReport, output_format: str) -> None:
         print(f"  {line}")
 
 
-def cmd_resolve(config: CliConfig, args) -> int:
-    repo = _load_index(config)
+def cmd_resolve(args) -> int:
+    repo = _load_index(args)
     result = solver.resolve_pick(repo, _request(repo, args, args.toolchain))
     if isinstance(result, UnsatReport):
-        _print_unsat(result, config.output_format)
+        _print_unsat(result, args.format)
         return EXIT_UNSAT
-    _print_pick(result, config.output_format)
+    _print_pick(result, args.format)
     return EXIT_OK
 
 
-def cmd_release(config: CliConfig, args) -> int:
-    repo = _load_index(config)
+def cmd_release(args) -> int:
+    repo = _load_index(args)
     toolchains = args.toolchain or [str(t) for t in repo.toolchains]
     picks = []
     for toolchain_text in toolchains:
@@ -241,7 +226,7 @@ def cmd_release(config: CliConfig, args) -> int:
         sys.stdout.write(data.decode("utf-8"))
     else:
         Path(args.output).write_bytes(data)
-    if previous is not None and config.strict_removals:
+    if previous is not None and args.strict_removals:
         violations = policy.check_removals(previous, rel, repo)
         for violation in violations:
             print(f"pickforge: error: {violation}", file=sys.stderr)
@@ -272,12 +257,12 @@ def _print_diff(diff: release.PickDiff) -> None:
     print(f"  = {len(diff.unchanged)} unchanged")
 
 
-def cmd_diff(config: CliConfig, args) -> int:
+def cmd_diff(args) -> int:
     rel = _read_lockfile(args.lockfile)
     a = rel.pick_for(parse_version(args.from_toolchain))
     b = rel.pick_for(parse_version(args.to_toolchain))
     diff = release.diff_picks(a, b)
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(_diff_payload(diff))
     else:
         print(f"diff {a.toolchain} -> {b.toolchain}")
@@ -285,12 +270,12 @@ def cmd_diff(config: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_upgrade(config: CliConfig, args) -> int:
+def cmd_upgrade(args) -> int:
     rel = _read_lockfile(args.lockfile)
     report = release.upgrade_path(
         rel, parse_version(args.from_toolchain), parse_version(args.to_toolchain)
     )
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "monotone": report.monotone,
@@ -312,22 +297,22 @@ def cmd_upgrade(config: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_coordinate(config: CliConfig, args) -> int:
-    repo = _load_index(config)
+def cmd_coordinate(args) -> int:
+    repo = _load_index(args)
     _, reference = _pick_from_lockfile(args.reference, args.reference_toolchain)
     report = policy.coordinate(repo, parse_version(args.rc), reference)
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
         print(report.to_markdown())
     return EXIT_OK
 
 
-def cmd_policy(config: CliConfig, args) -> int:
-    repo = _load_index(config)
+def cmd_policy(args) -> int:
+    repo = _load_index(args)
     names = args.package or sorted(repo.packages)
     reports = [policy.check_succession(repo, name) for name in names]
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 report.package: {
@@ -353,20 +338,20 @@ def cmd_policy(config: CliConfig, args) -> int:
     return EXIT_OK if all(report.compliant for report in reports) else EXIT_FAILURE
 
 
-def cmd_smoke(config: CliConfig, args) -> int:
-    repo = _load_index(config)
+def cmd_smoke(args) -> int:
+    repo = _load_index(args)
     _, pick = _pick_from_lockfile(args.lockfile, args.toolchain)
     plan = buildrun.install_plan(repo, pick)
     report = buildrun.run_plan(plan, args.sandbox, max_parallel=args.jobs)
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
         print(report.to_text())
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
-def cmd_script(config: CliConfig, args) -> int:
-    repo = _load_index(config)
+def cmd_script(args) -> int:
+    repo = _load_index(args)
     _, pick = _pick_from_lockfile(args.lockfile, args.toolchain)
     plan = buildrun.install_plan(repo, pick)
     sys.stdout.write(buildrun.emit_install_script(plan))

@@ -19,10 +19,6 @@ import hashlib
 import json
 import os
 import re
-import shutil
-import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -235,6 +231,10 @@ def _resolve_cache_dir(cache_dir: str | Path | None) -> Path:
 
 
 def _fetch(url: str) -> bytes:
+    # imported here: only HTTP sources need them, and they are slow to import
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             return response.read()
@@ -243,6 +243,9 @@ def _fetch(url: str) -> bytes:
 
 
 def _mirror_http_source(base_url: str, cache_dir: Path) -> Path:
+    import shutil
+    import tempfile
+
     index_bytes = _fetch(f"{base_url}/index.json")
     digest = hashlib.sha256(index_bytes).hexdigest()[:16]
     mirror = cache_dir / digest

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PickforgeError
 from .index import Repository, UnknownPackageError, compatible_versions
-from .release import Release, _dropped_packages
+from .release import Release, dropped_packages
 from .solver import Pick
 from .versioning import Version, compare_versions, satisfies
 
@@ -217,5 +217,5 @@ def check_removals(
             f"package {name} was selected in {previous.version} but is "
             f"absent from {candidate.version} and was not deprecated",
         )
-        for name in _dropped_packages(previous, candidate, repo)
+        for name in dropped_packages(previous, candidate, repo)
     ]

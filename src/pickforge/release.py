@@ -101,7 +101,7 @@ def assemble_release(
     release = Release(version=version, picks=ordered, predecessor=predecessor)
     warnings = []
     if previous is not None:
-        for name in _dropped_packages(previous, release, repo):
+        for name in dropped_packages(previous, release, repo):
             warnings.append(
                 AssemblyWarning(
                     MONOTONICITY_WARNING,
@@ -113,7 +113,7 @@ def assemble_release(
     return release, warnings
 
 
-def _dropped_packages(
+def dropped_packages(
     previous: Release, candidate: Release, repo: Repository | None
 ) -> list[str]:
     """Packages selected in the previous release, gone from the candidate,

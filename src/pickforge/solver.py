@@ -20,12 +20,14 @@ lexicographic objective:
    ascending name order, preferring presence over absence and newer
    versions over older ones.
 
-``resolve_pick`` finds the optimum by staged greedy descent backed by a
-complete depth-first search with conflict-directed backjumping over
-candidate tables built once per request (``_SearchSpace``, ``_search``);
-``enumerate_best`` recomputes it by exhaustive enumeration and serves as
-the reference implementation for testing.  Both are pure and
-deterministic.
+``resolve_pick`` finds the optimum with one branch-and-bound search
+(``_search``) over candidate tables built once per request
+(``_SearchSpace``).  The search branches in the objective's own order and
+backjumps on conflicts, so the first selection it finds is the best with
+its number of optionals.  The search then resumes and asks for strictly
+more optionals, until no such selection exists.  ``enumerate_best``
+recomputes the optimum by exhaustive enumeration and serves as the
+reference implementation for testing.  Both are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -303,20 +305,21 @@ def _unsat_report(repo: Repository, req: SelectionRequest, sat) -> UnsatReport:
     return UnsatReport(culprits=culprits, narrative=tuple(narrative))
 
 
-# --- backjumping resolver -----------------------------------------------------
+# --- branch-and-bound resolver ------------------------------------------------
 
 
 class _SearchSpace:
     """Candidate tables for one request, built once and shared by its searches.
 
     Every selectable (name, version) is a candidate with an integer id.
-    ``domains[name]`` holds a package's selectable versions, newest first,
-    and ``ids[name]`` their ids in the same order; ``versions[c]`` maps an id
-    back.  ``requires[c]`` names the packages candidate ``c`` depends on, and
-    ``blocked[c]`` holds every candidate that cannot be selected together
-    with ``c``: one of the two depends on the other's package and the other's
-    version does not satisfy that dependency, or one conflicts with the
-    other.  The search reads only these tables, so it never compares versions.
+    ``ids[name]`` holds a package's candidates, newest first, and
+    ``versions[c]`` maps an id back to its version.  ``requires[c]`` names
+    the packages candidate ``c`` depends on, and ``dependents[name]`` the
+    packages with a candidate that depends on ``name``.  ``blocked[c]`` holds
+    every candidate that cannot be selected together with ``c``: one of the
+    two depends on the other's package and the other's version does not
+    satisfy that dependency, or one conflicts with the other.  The search
+    reads only these tables, so it never compares versions.
     """
 
     def __init__(self, repo: Repository, req: SelectionRequest):
@@ -341,13 +344,13 @@ class _SearchSpace:
             for manifest in manifests
         ]
         self._prune_unmeetable(depends)
-        self.domains = {
-            name: tuple(self.versions[c] for c in ids) for name, ids in self.ids.items()
-        }
         self.requires = [tuple(dep for dep, _ in edges) for edges in depends]
+        dependents: dict[str, set[str]] = {name: set() for name in self.ids}
         blocked: list[set[int]] = [set() for _ in manifests]
-        for ids in self.ids.values():
+        for name, ids in self.ids.items():
             for c in ids:
+                for dep in self.requires[c]:
+                    dependents[dep].add(name)
                 clashing = [
                     other
                     for dep, allowed in depends[c]
@@ -359,6 +362,7 @@ class _SearchSpace:
                 for other in clashing:
                     blocked[c].add(other)
                     blocked[other].add(c)
+        self.dependents = {name: tuple(sorted(names)) for name, names in dependents.items()}
         self.blocked = [frozenset(b) for b in blocked]
         # optionals that can never be selected are dropped from branching;
         # they contribute nothing to any selection's optional count
@@ -383,144 +387,170 @@ class _SearchSpace:
                     changed = True
 
 
-_OUT = -1  # the value of an optional's choice point that leaves it out
+_ABSENT = -1  # the value that leaves a package out of the selection
+_IN = -2  # an optional's first value: the package must be selected
 
 
 @dataclass(slots=True)
 class _ChoicePoint:
     """One level of the search stack: a package and the values left to try.
 
-    ``cause`` is the level whose assignment pulled the package in (None for
-    a root or an optional, which need no cause); ``position`` is an
-    optional's index in the branching order (None for a pulled package);
-    ``conflicts`` collects the levels that refuted the values tried so far.
+    ``cause`` is the level that put an included optional in (None for any
+    other package); ``conflicts`` collects the levels that refuted the
+    values tried so far.
     """
 
     name: str
     values: tuple[int, ...]
-    cause: int | None
-    position: int | None
+    cause: int | None = None
     next: int = 0
     value: int | None = None
-    pulled: list[str] = field(default_factory=list)
     conflicts: set[int] = field(default_factory=set)
 
 
+def _closure(names, successors) -> set[str]:
+    """``names`` and every name reachable from them through ``successors``."""
+    seen = set(names)
+    todo = list(seen)
+    while todo:
+        for name in successors(todo.pop()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
 def _search(
-    space: _SearchSpace,
-    roots: frozenset[str],
-    pins: dict[str, Version],
-    absent: frozenset[str],
-    forced_present: frozenset[str],
-    optionals: tuple[str, ...],
-    min_count: int,
+    space: _SearchSpace, mandatory: frozenset[str], optionals: tuple[str, ...]
 ) -> dict[str, Version] | None:
-    """Find any feasible selection honouring the given commitments, or None.
+    """The optimal selection containing ``mandatory``, or None if none exists.
 
-    roots must be selected and justify themselves; names in ``absent`` must
-    not appear; names in ``pins`` may only take the pinned version; names in
-    ``forced_present`` must end up selected (pulled in as dependencies);
-    undecided ``optionals`` are branched over, and the selection must include
-    at least ``min_count`` optionals overall.  The search is exhaustive, so
-    a None result proves infeasibility.
+    ``optionals`` are the live optional names in name order.  The search is
+    depth first over an explicit stack of choice points, and branches in
+    the objective's own order: first one level per optional, "in" before
+    "out"; then one level per package reachable from ``mandatory`` and the
+    optionals, in name order, skipping the optionals left out.  Each takes
+    its candidates newest first, then "absent", except mandatory packages
+    and included optionals, which must be selected.  So the first selection
+    found is the best with its number of optionals.  It becomes the
+    incumbent, the bound tightens to strictly more optionals, and the
+    search resumes; the last incumbent is the optimum.
 
-    The search is depth first over an explicit stack of choice points, one
-    per level: the smallest pending (required but unassigned) name takes
-    each of its candidates newest first; with nothing pending, the first
-    undecided optional takes each candidate, then "out".  Every failure
-    yields a conflict set, the levels whose decisions jointly refute it:
+    Every failure yields a conflict set, the levels whose decisions jointly
+    refute it:
 
-    - a rejected candidate: the earliest level that assigned a candidate
-      blocking it, or excluded one of its dependencies (none when the
-      request itself excluded it);
-    - an exhausted choice point: the union of its values' conflict sets,
-      less its own level, plus the level that pulled the package in;
-    - too few optionals left to reach ``min_count``: the levels of the
-      optionals left out so far;
-    - a complete selection missing a ``forced_present`` name: every level.
+    - a candidate: the earliest level that chose a candidate blocking it or
+      left out one of its dependencies; for a package no root needs, once
+      every package able to require it is decided and none does, the
+      levels that decided them;
+    - "absent": the earliest level whose candidate requires the package;
+    - "out", once the bound allows no more: the optionals left out;
+    - an exhausted choice point: its values' conflict sets, less its own
+      level, plus the level that put an included optional in;
+    - a complete selection that becomes the incumbent: the optionals left
+      out.  One with a package no root reaches fails instead; each such
+      package has a set, its own level plus the reached or left-out
+      packages through which a root could reach it, and the set that
+      backjumps farthest is used.
 
     A failed subtree whose conflict set lacks the level of the choice point
-    above it is independent of that choice, so the search backjumps past the
-    point without trying its other values (conflict-directed backjumping,
-    Prosser 1993).  Only subtrees without a solution are skipped, so the
-    first solution found is the one chronological backtracking finds.
+    above it is independent of that choice, so the search backjumps past
+    the point without trying its other values (conflict-directed
+    backjumping, Prosser 1993).  Nothing is learned from a failure.
     """
-    pinned = {
-        name: (space.ids[name][space.domains[name].index(version)],)
-        for name, version in pins.items()
-    }
-
-    def domain(name: str) -> tuple[int, ...]:
-        return pinned.get(name) or space.ids[name]
-
-    if any(name in absent or not domain(name) for name in roots):
-        return None
-    requires, blocked = space.requires, space.blocked
+    requires, blocked, dependents = space.requires, space.blocked, space.dependents
+    universe = _closure(
+        mandatory.union(optionals), lambda name: (d for c in space.ids[name] for d in requires[c])
+    )
+    width = len(optionals)  # the levels below this decide the optionals
     chosen: dict[str, int] = {}  # name -> its candidate
-    level_of: dict[int, int] = {}  # assigned candidate -> its level
-    excluded: dict[str, int | None] = dict.fromkeys(absent)  # name -> level, None if absent
-    pending: dict[str, int | None] = dict.fromkeys(roots)  # name -> level that pulled it in
-    # the count bound fails once more names are excluded than this
-    max_excluded = len(absent) + len(optionals) - min_count - len(absent.intersection(optionals))
+    level_of: dict[int, int] = {}  # chosen candidate -> its level
+    excluded: dict[str, int] = {}  # name -> the level that left it out
+    included: dict[str, int] = {}  # optional -> the level that put it in
+    names = optionals  # the package each level decides
     stack: list[_ChoicePoint] = []
-    positions: list[int] = []  # positions of the optional choice points on the stack
+    best: dict[str, Version] | None = None
+    max_out = width  # the bound: how many optionals may be left out
 
-    def refuter(candidate: int) -> int | None:
-        """The earliest level whose decision rules ``candidate`` out: -1
-        when the request does, None when the candidate is consistent."""
-        levels = [excluded[dep] for dep in requires[candidate] if dep in excluded]
-        if None in levels:
-            return -1
-        levels.extend(level_of[other] for other in blocked[candidate] if other in level_of)
-        return min(levels, default=None)
+    def decided_at(name: str) -> int:
+        return excluded[name] if name in excluded else level_of[chosen[name]]
+
+    def refutation(name: str, level: int, value: int) -> set[int] | None:
+        """The levels that rule ``value`` out, or None when it is consistent."""
+        if value == _IN:
+            return None
+        if value == _ABSENT and level < width:
+            # only optionals are decided yet, so these are the ones left out
+            return set(excluded.values()) if len(excluded) >= max_out else None
+        if value == _ABSENT:
+            requirers = [
+                decided_at(d)
+                for d in dependents[name]
+                if d in chosen and name in requires[chosen[d]]
+            ]
+            return {min(requirers)} if requirers else None
+        levels = [excluded[dep] for dep in requires[value] if dep in excluded]
+        levels.extend(level_of[other] for other in blocked[value] if other in level_of)
+        if levels:
+            return {min(levels)}
+        if name in mandatory or name in included:
+            return None
+        for d in dependents[name]:
+            if d in universe and d not in excluded:
+                if d not in chosen or name in requires[chosen[d]]:
+                    return None  # it requires the package, or may still
+        return {decided_at(d) for d in dependents[name] if d in universe}
+
+    def stray_conflict() -> set[int] | None:
+        """None when a root reaches every chosen package, else the conflict
+        set of the unreached package that backjumps farthest."""
+        reached = _closure(mandatory.union(included), lambda name: requires[chosen[name]])
+
+        def stops(name: str) -> bool:  # a root could reach a stray only past these
+            return name in reached or excluded.get(name, width) < width
+
+        sets = []
+        for stray in chosen:
+            if stray not in reached:
+                walk = _closure({stray}, lambda name: () if stops(name) else dependents[name])
+                sets.append({decided_at(name) for name in walk if name == stray or stops(name)})
+        return min(sets, key=lambda levels: sorted(levels, reverse=True), default=None)
 
     def retract(point: _ChoicePoint) -> None:
-        if point.value == _OUT:
+        if point.value == _IN:
+            del included[point.name]
+        elif point.value == _ABSENT:
             del excluded[point.name]
         elif point.value is not None:
             del chosen[point.name]
             del level_of[point.value]
-            for dep in point.pulled:
-                del pending[dep]
         point.value = None
-
-    def leave(point: _ChoicePoint) -> None:
-        stack.pop()
-        if point.position is None:
-            pending[point.name] = point.cause
-        else:
-            positions.pop()
 
     failure: set[int] | None = None
     while True:
         if failure is None:
-            # the top choice point holds a consistent value: open the next one
-            if pending:
-                name = min(pending)
-                stack.append(_ChoicePoint(name, domain(name), pending.pop(name), None))
-            elif len(excluded) > max_excluded:
-                failure = {level for level in excluded.values() if level is not None}
+            # the top choice point holds a consistent value: open the next level
+            level = len(stack)
+            if level == width:
+                names = optionals + tuple(sorted(universe.difference(excluded)))
+            if level < width:
+                stack.append(_ChoicePoint(names[level], (_IN, _ABSENT)))
+            elif level < len(names):
+                name = names[level]
+                absent = () if name in mandatory or name in included else (_ABSENT,)
+                stack.append(_ChoicePoint(name, space.ids[name] + absent, included.get(name)))
             else:
-                position = positions[-1] + 1 if positions else 0
-                while position < len(optionals) and (
-                    optionals[position] in chosen or optionals[position] in excluded
-                ):
-                    position += 1
-                if position < len(optionals):
-                    name = optionals[position]
-                    stack.append(_ChoicePoint(name, domain(name) + (_OUT,), None, position))
-                    positions.append(position)
-                elif all(name in chosen for name in forced_present):
-                    return {name: space.versions[c] for name, c in chosen.items()}
-                else:
-                    failure = set(range(len(stack)))
+                failure = stray_conflict()
+                if failure is None:
+                    best = {name: space.versions[c] for name, c in chosen.items()}
+                    failure = {out for out in excluded.values() if out < width}
+                    max_out = len(failure) - 1
         if failure is not None:
             # backjump to the deepest level the failure depends on
             while stack and len(stack) - 1 not in failure:
-                retract(stack[-1])
-                leave(stack[-1])
+                retract(stack.pop())
             if not stack:
-                return None
+                return best
             retract(stack[-1])
             failure.discard(len(stack) - 1)
             stack[-1].conflicts |= failure
@@ -531,137 +561,43 @@ def _search(
         while point.next < len(point.values):
             value = point.values[point.next]
             point.next += 1
-            if value == _OUT:
+            refuted = refutation(point.name, level, value)
+            if refuted is not None:
+                point.conflicts |= refuted
+                continue
+            if value == _IN:
+                included[point.name] = level
+            elif value == _ABSENT:
                 excluded[point.name] = level
-                point.value = value
-                break
-            culprit = refuter(value)
-            if culprit is None:
+            else:
                 chosen[point.name] = value
                 level_of[value] = level
-                point.value = value
-                point.pulled = [d for d in requires[value] if d not in chosen and d not in pending]
-                for dep in point.pulled:
-                    pending[dep] = level
-                break
-            if culprit >= 0:
-                point.conflicts.add(culprit)
+            point.value = value
+            break
         else:
             failure = point.conflicts
             if point.cause is not None:
                 failure.add(point.cause)
-            leave(point)
-
-
-def _reachable_universe(space: _SearchSpace, roots: frozenset[str]) -> set[str]:
-    """Every name a selection rooted at ``roots`` could possibly contain."""
-    seen = set(roots)
-    stack = list(roots)
-    while stack:
-        name = stack.pop()
-        for c in space.ids[name]:
-            for dep in space.requires[c]:
-                if dep not in seen:
-                    seen.add(dep)
-                    stack.append(dep)
-    return seen
+            stack.pop()
 
 
 def resolve_pick(repo: Repository, req: SelectionRequest) -> Pick | UnsatReport:
     """Resolve the optimal pick for a request, or explain why none exists.
 
+    One branch-and-bound search finds the optimum; only when it proves the
+    mandatory set unsatisfiable do further searches, one per subset tried,
+    extract the culprits.
+
     Precondition: validate_repository(repo) is empty.
     """
     _validate_request(repo, req)
     space = _SearchSpace(repo, req)
-    mandatory = frozenset(req.mandatory)
-    no_commitments: dict[str, Version] = {}
-
-    def sat(subset: frozenset[str]) -> bool:
-        return (
-            _search(space, subset, no_commitments, frozenset(), frozenset(), (), 0)
-            is not None
+    best = _search(space, req.mandatory, space.live_optionals)
+    if best is None:
+        return _unsat_report(
+            repo, req, lambda subset: _search(space, subset, ()) is not None
         )
-
-    witness = _search(space, mandatory, no_commitments, frozenset(), frozenset(), (), 0)
-    if witness is None:
-        return _unsat_report(repo, req, sat)
-
-    optionals = space.live_optionals
-    base_count = sum(1 for o in optionals if o in witness)
-    best_count = base_count
-    for target in range(len(optionals), base_count, -1):
-        found = _search(
-            space, mandatory, no_commitments, frozenset(), frozenset(), optionals, target
-        )
-        if found is not None:
-            witness, best_count = found, target
-            break
-
-    # fix the optional inclusion set, preferring earlier names
-    committed_in: list[str] = []
-    committed_out: set[str] = set()
-    for name in sorted(req.optional):
-        if not space.domains[name]:
-            committed_out.add(name)
-            continue
-        if name in witness:
-            committed_in.append(name)
-            continue
-        found = _search(
-            space,
-            mandatory | frozenset(committed_in) | {name},
-            no_commitments,
-            frozenset(committed_out),
-            frozenset(),
-            optionals,
-            best_count,
-        )
-        if found is not None:
-            witness = found
-            committed_in.append(name)
-        else:
-            committed_out.add(name)
-
-    # fix versions name by name, preferring presence, then newest
-    roots = mandatory | frozenset(committed_in)
-    pins: dict[str, Version] = {}
-    forced_present: set[str] = set()
-    implicit_absent: set[str] = set(committed_out)
-    for name in sorted(_reachable_universe(space, roots)):
-        if name in committed_out:
-            continue
-        is_root = name in roots
-        chosen = False
-        for version in space.domains[name]:
-            if witness.get(name) == version:
-                pins[name] = version
-                if not is_root:
-                    forced_present.add(name)
-                chosen = True
-                break
-            found = _search(
-                space,
-                roots,
-                {**pins, name: version},
-                frozenset(implicit_absent),
-                frozenset(forced_present) | (frozenset() if is_root else {name}),
-                optionals,
-                best_count,
-            )
-            if found is not None:
-                witness = found
-                pins[name] = version
-                if not is_root:
-                    forced_present.add(name)
-                chosen = True
-                break
-        if not chosen:
-            if is_root or name in witness:
-                raise AssertionError(f"no feasible value found for {name}")
-            implicit_absent.add(name)
-
-    return _build_pick(repo, req, pins)
+    return _build_pick(repo, req, best)
 
 
 # --- exhaustive reference implementation ---------------------------------------

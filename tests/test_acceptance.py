@@ -6,6 +6,7 @@ per criterion.  The randomized solver corpus is seeded and deterministic.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import subprocess
@@ -22,12 +23,12 @@ from conftest import (
     NONE_AT_RC,
     PLATFORM_FIXTURE,
     RELEASE_UNIVERSE_EXCLUDES,
+    REPO_ROOT,
     SMOKE_FIXTURE,
     SUCCESSION_VIOLATORS,
-    make_repo,
 )
 from pickforge.buildrun import BUILD_FAILED, PASSED, SKIPPED, install_plan, run_plan
-from pickforge.index import PackageManifest, Repository, load_repository, validate_repository
+from pickforge.index import load_repository, validate_repository
 from pickforge.policy import (
     ALREADY_COMPATIBLE,
     DEV_COMPATIBLE,
@@ -53,14 +54,12 @@ from pickforge.versioning import (
     parse_calendar_version,
     parse_constraint,
     parse_version,
-    satisfies,
 )
 
 from strategies import calendar_versions, constraints, version_texts
 from strategies import releases as release_strategy
 
 V = parse_version
-C = parse_constraint
 
 CORPUS_SIZE = 1000
 CORPUS_SEED = 20220100
@@ -79,81 +78,13 @@ def criterion(number: int, label: str):
 
 # --- randomized solver corpus ---------------------------------------------------
 
-_VERSION_POOL = ["0.9", "1.0", "1.1", "2.0", "2.0-rc1", "2.1", "3.0", "3.1"]
-_TOOL_POOL = ["8.12", "8.13", "8.14", "8.15"]
-
-
-def _random_constraint(rng: random.Random, pool: list[str]) -> str:
-    roll = rng.random()
-    if roll < 0.2:
-        return "*"
-    op = rng.choice(["=", "!=", ">=", ">", "<=", "<"])
-    version = rng.choice(pool)
-    if roll < 0.75:
-        return f"{op}{version}"
-    op2 = rng.choice(["=", "!=", ">=", ">", "<=", "<"])
-    version2 = rng.choice(pool)
-    if roll < 0.88:
-        return f"{op}{version}, {op2}{version2}"
-    return f"{op}{version} | {op2}{version2}"
-
-
-def _random_instance(rng: random.Random) -> tuple[Repository, SelectionRequest]:
-    count = rng.randint(1, 8)
-    names = [chr(ord("a") + i) for i in range(count)]
-    manifests = []
-    space = 1
-    for name in names:
-        n_versions = rng.randint(1, 4)
-        while space * (n_versions + 1) > SPACE_CAP and n_versions > 1:
-            n_versions -= 1
-        space *= n_versions + 1
-        for text in sorted(rng.sample(_VERSION_POOL, n_versions)):
-            depends, conflicts = [], []
-            for other in names:
-                if other == name:
-                    continue
-                roll = rng.random()
-                if roll < 0.3:
-                    depends.append((other, _random_constraint(rng, _VERSION_POOL)))
-                elif roll < 0.42:
-                    conflicts.append((other, _random_constraint(rng, _VERSION_POOL)))
-            dev = rng.random() < 0.15
-            manifests.append(
-                PackageManifest(
-                    name=name,
-                    version=V(text),
-                    toolchain=C(_random_constraint(rng, _TOOL_POOL)),
-                    depends=tuple((d, C(c)) for d, c in depends),
-                    conflicts=tuple((x, C(c)) for x, c in conflicts),
-                    dev=dev,
-                    source_ref="ref0" if dev else None,
-                )
-            )
-    repo = make_repo(_TOOL_POOL, manifests)
-    toolchain = V(rng.choice(_TOOL_POOL))
-    mandatory = frozenset(rng.sample(names, rng.randint(0, min(3, count))))
-    optional = frozenset(
-        n for n in names if n not in mandatory and rng.random() < 0.7
-    )
-    overrides = {}
-    if rng.random() < 0.25 and (mandatory | optional):
-        name = rng.choice(sorted(mandatory | optional))
-        valid = [
-            v
-            for v, manifest in repo.packages[name].items()
-            if satisfies(toolchain, manifest.toolchain)
-        ]
-        if valid:
-            overrides[name] = rng.choice(sorted(valid))
-    request = SelectionRequest(
-        toolchain=toolchain,
-        mandatory=mandatory,
-        optional=optional,
-        overrides=overrides,
-        include_dev=rng.random() < 0.3,
-    )
-    return repo, request
+# the seeded generator shared with scripts/solver_bench.py and the benchmark's
+# oracle mode; scripts/ is not a package, so it is loaded by path
+_spec = importlib.util.spec_from_file_location(
+    "solver_bench", REPO_ROOT / "scripts" / "solver_bench.py"
+)
+solver_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(solver_bench)
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +94,7 @@ def solver_corpus():
     results = []
     started = time.perf_counter()
     for _ in range(CORPUS_SIZE):
-        repo, request = _random_instance(rng)
+        repo, request = solver_bench.random_instance(rng, SPACE_CAP)
         got = resolve_pick(repo, request)
         want = enumerate_best(repo, request)
         results.append((repo, request, got, want))

@@ -515,3 +515,29 @@ class TestSearchScale:
         payload = json.loads(proc.stdout)
         assert payload["selected"] == expected
         assert list(payload["excluded"]) == ["p-b"]
+
+    def test_unreachable_fillers_fail_one_at_a_time(self, tmp_path):
+        # p-a 1.0 depends on 30 two-version fillers that sort before it, and
+        # p-b conflicts with p-a 1.0.  Every complete selection that keeps a
+        # filler has it unreached; failing with the union of all their
+        # conflict sets, not one of them, walks about 3**30 selections
+        fillers = [f"f{i:02d}" for i in range(30)]
+        manifests = [raw_manifest(name, version) for name in fillers for version in ("1.0", "2.0")]
+        manifests += [
+            raw_manifest("p-a", "1.0", depends=[[name, "*"] for name in fillers]),
+            raw_manifest("p-a", "2.0"),
+            raw_manifest("p-b", "1.0", conflicts=[["p-a", "<2.0"]]),
+        ]
+        write_fixture(tmp_path, ["8.15"], manifests)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pickforge.cli", "resolve", "--index", str(tmp_path),
+             "--toolchain", "8.15", "--mandatory", "p-a", "--mandatory", "p-b",
+             "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["selected"] == {"p-a": "2.0", "p-b": "1.0"}
+        assert payload["excluded"] == {}

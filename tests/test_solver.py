@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from conftest import make_repo, mf
+from pickforge import solver
 from pickforge.index import Repository, UnknownPackageError, validate_repository
 from pickforge.solver import (
     DEPENDENCY_MISSING,
@@ -175,6 +176,31 @@ class TestResolvePick:
         )
         req = SelectionRequest(toolchain=V("8.15"), mandatory={"a"}, optional={"b"})
         assert resolve_pick(repo, req) == resolve_pick(repo, req)
+
+    def test_satisfiable_request_takes_one_search(self, monkeypatch):
+        # the first selection found includes a alone; the same search then
+        # resumes and finds b and c, with b's newest version forcing m back
+        searches = []
+        search = solver._search
+        monkeypatch.setattr(
+            solver, "_search", lambda *args: searches.append(args) or search(*args)
+        )
+        repo = make_repo(
+            ["8.15"],
+            [
+                mf("a", "1.0", conflicts=[("b", "*"), ("c", "*")]),
+                mf("b", "1.0"),
+                mf("b", "2.0", depends=[("m", "<2.0")]),
+                mf("c", "1.0"),
+                mf("m", "1.0"),
+                mf("m", "2.0"),
+            ],
+        )
+        req = SelectionRequest(toolchain=V("8.15"), mandatory={"m"}, optional={"a", "b", "c"})
+        pick = resolve_pick(repo, req)
+        assert names_of(pick) == {"b": "2.0", "c": "1.0", "m": "1.0"}
+        assert len(searches) == 1
+        assert pick == enumerate_best(repo, req)
 
 
 class TestOverrides:
@@ -458,6 +484,61 @@ def test_resolver_matches_reference_on_shaped_corpus():
     kept = 0
     while kept < SHAPED_CORPUS_SIZE:
         repo, req = _shaped_instance(rng)
+        if math.prod(len(versions) + 1 for versions in repo.packages.values()) > SHAPED_SPACE_CAP:
+            continue
+        kept += 1
+        assert validate_repository(repo) == []
+        assert resolve_pick(repo, req) == enumerate_best(repo, req), (kept, req)
+
+
+PULLED_CORPUS_SIZE = 1000
+PULLED_CORPUS_SEED = 2012
+
+
+def _pulled_only_instance(rng: random.Random) -> tuple[Repository, SelectionRequest]:
+    """A small instance whose selections consist mostly of pulled-in packages.
+
+    4-8 packages with 1-3 versions each.  Every version depends on each
+    earlier name with probability one half and on each later name less
+    often, so dependencies are dense and mostly point backwards; now and
+    then a version conflicts with another package.  The request names 1-3
+    packages, usually the last ones, as mandatory or optional, and the rest
+    can only be pulled in.  A pulled package is then often decided before
+    every package able to require it, so complete selections with packages
+    no root reaches are common.
+    """
+    names = [chr(ord("a") + i) for i in range(rng.randint(4, 8))]
+    manifests = []
+    for name in names:
+        for version in sorted(rng.sample(("1.0", "1.1", "2.0", "3.0"), rng.randint(1, 3))):
+            depends = [
+                (other, rng.choice(("*", "*", ">=1.1", "<2.0", "!=2.0")))
+                for other in names
+                if other != name and rng.random() < (0.5 if other < name else 0.12)
+            ]
+            conflicts = [
+                (other, rng.choice(("*", ">=2.0", "<1.1")))
+                for other in names
+                if other != name and rng.random() < 0.08
+            ]
+            manifests.append(mf(name, version, depends=depends, conflicts=conflicts))
+    repo = make_repo(["8.15"], manifests)
+    if rng.random() < 0.8:
+        requested = names[-rng.randint(1, 3):]
+    else:
+        requested = rng.sample(names, rng.randint(1, 3))
+    mandatory = frozenset(name for name in requested if rng.random() < 0.5)
+    request = SelectionRequest(
+        toolchain=V("8.15"), mandatory=mandatory, optional=frozenset(requested) - mandatory
+    )
+    return repo, request
+
+
+def test_resolver_matches_reference_on_pulled_only_corpus():
+    rng = random.Random(PULLED_CORPUS_SEED)
+    kept = 0
+    while kept < PULLED_CORPUS_SIZE:
+        repo, req = _pulled_only_instance(rng)
         if math.prod(len(versions) + 1 for versions in repo.packages.values()) > SHAPED_SPACE_CAP:
             continue
         kept += 1
