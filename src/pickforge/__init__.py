@@ -1,82 +1,50 @@
-"""pickforge: curated, reproducible package picks per toolchain version."""
+"""pickforge: curated, reproducible package picks per toolchain version.
 
-from .buildrun import InstallPlan, SmokeReport, emit_install_script, install_plan, run_plan
-from .errors import PickforgeError
-from .index import (
-    PackageManifest,
-    Repository,
-    compatible_versions,
-    load_repository,
-    validate_repository,
-)
-from .policy import (
-    CoordinationReport,
-    SuccessionReport,
-    check_removals,
-    check_succession,
-    coordinate,
-)
-from .release import (
-    PickDiff,
-    Release,
-    UpgradeReport,
-    assemble_release,
-    diff_picks,
-    read_lockfile,
-    upgrade_path,
-    write_lockfile,
-)
-from .solver import Pick, SelectionRequest, UnsatReport, enumerate_best, resolve_pick, verify_pick
-from .versioning import (
-    CalendarVersion,
-    Constraint,
-    Version,
-    compare_versions,
-    parse_calendar_version,
-    parse_constraint,
-    parse_version,
-    satisfies,
-)
+The public names below are imported from their submodules on first use
+(PEP 562), so ``import pickforge`` loads no submodule and each CLI
+subcommand loads only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalendarVersion",
-    "Constraint",
-    "CoordinationReport",
-    "InstallPlan",
-    "PackageManifest",
-    "Pick",
-    "PickDiff",
-    "PickforgeError",
-    "Release",
-    "Repository",
-    "SelectionRequest",
-    "SmokeReport",
-    "SuccessionReport",
-    "UnsatReport",
-    "UpgradeReport",
-    "Version",
-    "assemble_release",
-    "check_removals",
-    "check_succession",
-    "compare_versions",
-    "compatible_versions",
-    "coordinate",
-    "diff_picks",
-    "emit_install_script",
-    "enumerate_best",
-    "install_plan",
-    "load_repository",
-    "parse_calendar_version",
-    "parse_constraint",
-    "parse_version",
-    "read_lockfile",
-    "resolve_pick",
-    "run_plan",
-    "satisfies",
-    "upgrade_path",
-    "validate_repository",
-    "verify_pick",
-    "write_lockfile",
-]
+_EXPORTS = {
+    "buildrun": ("InstallPlan", "SmokeReport", "emit_install_script", "install_plan", "run_plan"),
+    "errors": ("PickforgeError",),
+    "index": (
+        "PackageManifest", "Repository", "compatible_versions", "load_repository",
+        "validate_repository",
+    ),
+    "policy": (
+        "CoordinationReport", "SuccessionReport", "check_removals", "check_succession",
+        "coordinate",
+    ),
+    "release": (
+        "PickDiff", "Release", "UpgradeReport", "assemble_release", "diff_picks",
+        "read_lockfile", "upgrade_path", "write_lockfile",
+    ),
+    "solver": (
+        "Pick", "SelectionRequest", "UnsatReport", "enumerate_best", "resolve_pick",
+        "verify_pick",
+    ),
+    "versioning": (
+        "CalendarVersion", "Constraint", "Version", "compare_versions",
+        "parse_calendar_version", "parse_constraint", "parse_version", "satisfies",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

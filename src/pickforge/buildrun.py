@@ -15,9 +15,6 @@ import hashlib
 import json
 import os
 import shlex
-import subprocess
-import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,6 +197,10 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
     ``<sandbox>/logs`` (log contents are not part of the determinism
     contract, report statuses and exit codes are).
     """
+    # imported here: only smoke runs need them, and they are slow to import
+    import threading
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
     if max_parallel < 1:
         raise SandboxError("max_parallel must be at least 1")
     sandbox = Path(sandbox)
@@ -285,6 +286,8 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
 
 
 def _run_command(command: str, cwd: Path, env: dict, log_path: Path, phase: str) -> int:
+    import subprocess
+
     with open(log_path, "a", encoding="utf-8") as log:
         log.write(f"$ [{phase}] {command}\n")
         log.flush()

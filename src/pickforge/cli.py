@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 policy or smoke failure, 2 unsatisfiable
 resolution, 3 I/O or data errors, 64 usage errors.
 """
 
+# Start-up is most of an op's cost, so this module imports at top level
+# only the index, the solver and the version parsers, which most
+# subcommands run.  A handler that needs ``release``, ``policy`` or
+# ``buildrun`` imports it itself and calls through the module attribute.
+
 from __future__ import annotations
 
 import argparse
@@ -11,12 +16,16 @@ import json
 import sys
 from pathlib import Path
 
-from . import buildrun, policy, release, solver
+from . import solver
 from .errors import PickforgeError
 from .index import Repository, load_repository
-from .release import Release
 from .solver import Pick, SelectionRequest, UnsatReport
 from .versioning import parse_calendar_version, parse_version
+
+# type checkers read this name as true; ``typing`` is not imported for it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .release import PickDiff, Release
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -29,6 +38,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -90,7 +105,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lockfile", required=True)
     p.add_argument("--toolchain", help="which pick to run (default: newest)")
     p.add_argument("--sandbox", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("script", parents=[common], help="emit a standalone install script")
     p.add_argument("--lockfile", required=True)
@@ -132,6 +147,8 @@ def _load_index(args) -> Repository:
 
 
 def _read_lockfile(path: str) -> Release:
+    from . import release
+
     return release.read_lockfile(Path(path).read_bytes())
 
 
@@ -168,6 +185,8 @@ def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
 
 def _print_pick(pick: Pick, output_format: str) -> None:
     if output_format == "json":
+        from . import release
+
         _emit_json(release.pick_payload(pick))
         return
     print(f"pick for toolchain {pick.toolchain} ({len(pick.selected)} packages)")
@@ -199,6 +218,8 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_release(args) -> int:
+    from . import release
+
     repo = _load_index(args)
     toolchains = args.toolchain or [str(t) for t in repo.toolchains]
     picks = []
@@ -227,6 +248,8 @@ def cmd_release(args) -> int:
     else:
         Path(args.output).write_bytes(data)
     if previous is not None and args.strict_removals:
+        from . import policy
+
         violations = policy.check_removals(previous, rel, repo)
         for violation in violations:
             print(f"pickforge: error: {violation}", file=sys.stderr)
@@ -235,7 +258,7 @@ def cmd_release(args) -> int:
     return EXIT_OK
 
 
-def _diff_payload(diff: release.PickDiff) -> dict:
+def _diff_payload(diff: PickDiff) -> dict:
     return {
         "added": sorted(diff.added),
         "removed": sorted(diff.removed),
@@ -245,7 +268,7 @@ def _diff_payload(diff: release.PickDiff) -> dict:
     }
 
 
-def _print_diff(diff: release.PickDiff) -> None:
+def _print_diff(diff: PickDiff) -> None:
     for name in sorted(diff.added):
         print(f"  + {name}")
     for name in sorted(diff.removed):
@@ -258,6 +281,8 @@ def _print_diff(diff: release.PickDiff) -> None:
 
 
 def cmd_diff(args) -> int:
+    from . import release
+
     rel = _read_lockfile(args.lockfile)
     a = rel.pick_for(parse_version(args.from_toolchain))
     b = rel.pick_for(parse_version(args.to_toolchain))
@@ -271,6 +296,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_upgrade(args) -> int:
+    from . import release
+
     rel = _read_lockfile(args.lockfile)
     report = release.upgrade_path(
         rel, parse_version(args.from_toolchain), parse_version(args.to_toolchain)
@@ -298,6 +325,8 @@ def cmd_upgrade(args) -> int:
 
 
 def cmd_coordinate(args) -> int:
+    from . import policy
+
     repo = _load_index(args)
     _, reference = _pick_from_lockfile(args.reference, args.reference_toolchain)
     report = policy.coordinate(repo, parse_version(args.rc), reference)
@@ -309,6 +338,8 @@ def cmd_coordinate(args) -> int:
 
 
 def cmd_policy(args) -> int:
+    from . import policy
+
     repo = _load_index(args)
     names = args.package or sorted(repo.packages)
     reports = [policy.check_succession(repo, name) for name in names]
@@ -339,6 +370,8 @@ def cmd_policy(args) -> int:
 
 
 def cmd_smoke(args) -> int:
+    from . import buildrun
+
     repo = _load_index(args)
     _, pick = _pick_from_lockfile(args.lockfile, args.toolchain)
     plan = buildrun.install_plan(repo, pick)
@@ -351,6 +384,8 @@ def cmd_smoke(args) -> int:
 
 
 def cmd_script(args) -> int:
+    from . import buildrun
+
     repo = _load_index(args)
     _, pick = _pick_from_lockfile(args.lockfile, args.toolchain)
     plan = buildrun.install_plan(repo, pick)

@@ -15,7 +15,6 @@ served entirely from the cache.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -36,6 +35,8 @@ CACHE_ENV_VAR = "PICKFORGE_CACHE"
 
 # seconds an HTTP source may stall one request before the load fails
 FETCH_TIMEOUT_S = 30
+# largest body one request may return; a longer one fails the load
+FETCH_MAX_BYTES = 16 * 2**20
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
@@ -237,12 +238,16 @@ def _fetch(url: str) -> bytes:
 
     try:
         with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
-            return response.read()
+            data = response.read(FETCH_MAX_BYTES + 1)
     except (urllib.error.URLError, OSError) as exc:
         raise RepositoryError(f"unreachable source {url}: {exc}") from exc
+    if len(data) > FETCH_MAX_BYTES:
+        raise RepositoryError(f"{url} exceeds {FETCH_MAX_BYTES} bytes")
+    return data
 
 
 def _mirror_http_source(base_url: str, cache_dir: Path) -> Path:
+    import hashlib
     import shutil
     import tempfile
 

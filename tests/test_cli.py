@@ -55,6 +55,15 @@ class TestUsage:
             main(["resolve", "--toolchain", "8.15"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_must_be_positive(self, capsys, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["smoke", "--index", str(SMOKE_FIXTURE), "--lockfile", str(tmp_path / "x.lock"),
+                  "--sandbox", str(tmp_path / "box"), "--jobs", jobs])
+        assert exc.value.code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "box").exists()
+
 
 class TestResolve:
     def test_json_pick(self, capsys):

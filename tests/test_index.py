@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from conftest import PLATFORM_FIXTURE, make_repo, mf, raw_manifest, write_fixture
+from pickforge import index
+from pickforge.cli import EXIT_IO, main
 from pickforge.index import (
     DANGLING_DEPENDENCY,
     KEY_MISMATCH,
@@ -262,6 +265,24 @@ class TestHttpIngestion:
             load_repository(start(source), cache_dir=tmp_path / "cache")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "src"]
         assert not any(p for p in (tmp_path / "cache").glob("*") if p.is_dir())
+
+    def test_oversized_body_is_refused(self, serve_index, tmp_path, monkeypatch, capsys):
+        start, _ = serve_index
+        source = tmp_path / "src"
+        source.mkdir()
+        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
+        manifest = source / "packages" / "alpha" / "1.0.json"
+        manifest.write_text(manifest.read_text() + " " * 4096)  # still valid JSON
+        monkeypatch.setattr(index, "FETCH_MAX_BYTES", 1024)
+        url = start(source)
+        cache = tmp_path / "cache"
+        named = f"{url}/packages/alpha/1.0.json exceeds 1024 bytes"
+        with pytest.raises(RepositoryError, match=re.escape(named)):
+            load_repository(url, cache_dir=cache)
+        code = main(["resolve", "--index", url, "--cache-dir", str(cache), "--toolchain", "8.15"])
+        assert code == EXIT_IO
+        assert named in capsys.readouterr().err
+        assert not any(p for p in cache.glob("*") if p.is_dir())
 
     def test_unreachable_source(self, tmp_path):
         with pytest.raises(RepositoryError, match="unreachable"):

@@ -1,0 +1,112 @@
+"""The lazy public API of ``pickforge`` and the modules each CLI op loads."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import pickforge
+from conftest import PLATFORM_FIXTURE, REPO_ROOT, SMOKE_FIXTURE
+
+PUBLIC_NAMES = [
+    "CalendarVersion", "Constraint", "CoordinationReport", "InstallPlan", "PackageManifest",
+    "Pick", "PickDiff", "PickforgeError", "Release", "Repository", "SelectionRequest",
+    "SmokeReport", "SuccessionReport", "UnsatReport", "UpgradeReport", "Version",
+    "assemble_release", "check_removals", "check_succession", "compare_versions",
+    "compatible_versions", "coordinate", "diff_picks", "emit_install_script", "enumerate_best",
+    "install_plan", "load_repository", "parse_calendar_version", "parse_constraint",
+    "parse_version", "read_lockfile", "resolve_pick", "run_plan", "satisfies", "upgrade_path",
+    "validate_repository", "verify_pick", "write_lockfile",
+]
+
+
+class TestLazyApi:
+    def test_all_is_unchanged(self):
+        assert pickforge.__all__ == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_name_is_its_submodule_object(self, name):
+        value = getattr(pickforge, name)
+        assert value.__module__.startswith("pickforge.")
+        assert value is getattr(sys.modules[value.__module__], name)
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from pickforge import *", namespace)
+        assert {name: namespace[name] for name in PUBLIC_NAMES} == {
+            name: getattr(pickforge, name) for name in PUBLIC_NAMES
+        }
+
+    def test_dir_lists_every_name(self):
+        assert set(PUBLIC_NAMES) <= set(dir(pickforge))
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            getattr(pickforge, "nope")
+        assert not hasattr(pickforge, "nope")
+
+
+# Runs CLI ops one after another in this child and prints the modules they
+# left loaded, less those the bare interpreter had already loaded.
+_PROBE = """
+import contextlib, io, json, sys
+bare = set(sys.modules)
+from pickforge import cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - bare)}))
+"""
+
+
+def loaded_after(*ops: list[str]) -> tuple[list[int], set[str]]:
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(ops)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    return result["codes"], set(result["loaded"])
+
+
+class TestImportBudget:
+    def test_unsat_resolve_loads_no_release_policy_or_buildrun(self):
+        codes, loaded = loaded_after(
+            ["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
+             "--mandatory", "oldstone"],
+        )
+        assert codes == [2]
+        assert not loaded & {"pickforge.release", "pickforge.policy", "pickforge.buildrun"}
+
+    def test_pick_release_and_diff_load_no_runner_or_policy(self, tmp_path):
+        lock = str(tmp_path / "platform.lock.json")
+        codes, loaded = loaded_after(
+            ["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
+             "--format", "json"],
+            ["release", "--index", str(PLATFORM_FIXTURE), "--version", "2022.01.0",
+             "--output", lock],
+            ["diff", "--lockfile", lock, "--from", "8.13", "--to", "8.15"],
+        )
+        assert codes == [0, 0, 0]
+        assert "pickforge.release" in loaded
+        assert not loaded & {
+            "pickforge.buildrun", "pickforge.policy", "concurrent.futures", "subprocess",
+            "hashlib", "logging",
+        }
+
+    def test_script_loads_no_thread_pool(self, tmp_path):
+        lock = str(tmp_path / "smoke.lock.json")
+        codes, loaded = loaded_after(
+            ["release", "--index", str(SMOKE_FIXTURE), "--version", "2022.01.0",
+             "--output", lock],
+            ["script", "--index", str(SMOKE_FIXTURE), "--lockfile", lock],
+        )
+        assert codes == [0, 0]
+        assert "pickforge.buildrun" in loaded
+        assert "concurrent.futures" not in loaded
