@@ -15,6 +15,7 @@ served entirely from the cache.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -83,10 +84,16 @@ class PackageManifest:
 
 @dataclass
 class Repository:
-    """Immutable-by-convention index of manifests plus the toolchain list."""
+    """Immutable-by-convention index of manifests plus the toolchain list.
+
+    The first ``resolve_pick`` on a repository caches the solver's candidate
+    table in ``search_table``, and later requests reuse it.  So a repository
+    must not be mutated once it has been resolved against.
+    """
 
     toolchains: tuple[Version, ...]
     packages: dict[str, dict[Version, PackageManifest]] = field(default_factory=dict)
+    search_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def manifest(self, name: str, version: Version) -> PackageManifest:
         try:
@@ -212,7 +219,7 @@ def load_repository(source: str | Path, cache_dir: str | Path | None = None) -> 
         root = _mirror_http_source(text.rstrip("/"), _resolve_cache_dir(cache_dir))
     else:
         root = Path(source)
-    repo = _load_local(root)
+    repo = _load_local(str(root))
     issues = validate_repository(repo)
     if issues:
         summary = "; ".join(str(issue) for issue in issues[:5])
@@ -311,46 +318,63 @@ def _index_package_names(index, context: str) -> list[str]:
     return names
 
 
-def _load_local(root: Path) -> Repository:
-    index_path = root / "index.json"
-    if not index_path.is_file():
-        raise RepositoryError(f"unreachable source: no index.json under {root}")
-    index = _parse_json(index_path.read_bytes(), str(index_path))
-    names = _index_package_names(index, str(index_path))
+def _load_local(root: str) -> Repository:
+    index_path = os.path.join(root, "index.json")
+    try:
+        index_bytes = _read_bytes(index_path)
+    except OSError:
+        raise RepositoryError(f"unreachable source: no index.json under {root}") from None
+    index = _parse_json(index_bytes, index_path)
+    names = _index_package_names(index, index_path)
     toolchains_raw = index["toolchains"]
     if not isinstance(toolchains_raw, list) or not all(isinstance(t, str) for t in toolchains_raw):
         raise RepositoryError(f"{index_path}: field 'toolchains' must be a list of versions")
     toolchains = tuple(
-        _parse_field(t, parse_version, str(index_path), f"toolchains[{i}]")
+        _parse_field(t, parse_version, index_path, f"toolchains[{i}]")
         for i, t in enumerate(toolchains_raw)
     )
+    # constraint texts repeat across manifests, so each is parsed once per
+    # load; a failed parse is not cached, so each error names its own file
+    parse = functools.cache(parse_constraint)
     packages: dict[str, dict[Version, PackageManifest]] = {}
     for name in names:
         if name in packages:
             raise RepositoryError(f"{index_path}: duplicate package name {name!r}")
-        packages[name] = _load_package_dir(root / "packages" / name, name)
+        packages[name] = _load_package_dir(os.path.join(root, "packages", name), name, parse)
     return Repository(toolchains=toolchains, packages=packages)
 
 
-def _load_package_dir(pkg_dir: Path, name: str) -> dict[Version, PackageManifest]:
-    if not pkg_dir.is_dir():
-        raise RepositoryError(f"missing package directory {pkg_dir}")
-    listing = pkg_dir / "versions.json"
-    if listing.is_file():
-        listed = _parse_json(listing.read_bytes(), str(listing))
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _load_package_dir(pkg_dir: str, name: str, parse) -> dict[Version, PackageManifest]:
+    listing = os.path.join(pkg_dir, "versions.json")
+    try:
+        listed = _parse_json(_read_bytes(listing), listing)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        if not os.path.isdir(pkg_dir):
+            raise RepositoryError(f"missing package directory {pkg_dir}") from None
+        stems = sorted(
+            os.path.splitext(entry)[0]
+            for entry in os.listdir(pkg_dir)
+            if entry.endswith(".json") and entry != "versions.json"
+        )
+    else:
         if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
             raise RepositoryError(f"{listing}: expected a list of version strings")
         stems = listed
-    else:
-        stems = sorted(
-            p.stem for p in pkg_dir.glob("*.json") if p.name != "versions.json"
-        )
     versions: dict[Version, PackageManifest] = {}
     for stem in stems:
-        path = pkg_dir / f"{stem}.json"
-        if not path.is_file():
-            raise RepositoryError(f"{listing}: listed version {stem!r} has no manifest file")
-        manifest = _read_manifest(path)
+        path = os.path.join(pkg_dir, f"{stem}.json")
+        try:
+            data = _read_bytes(path)
+        except OSError:
+            raise RepositoryError(
+                f"{listing}: listed version {stem!r} has no manifest file"
+            ) from None
+        manifest = _read_manifest(data, path, parse)
         if manifest.name != name:
             raise RepositoryError(f"{path}: field 'name' is {manifest.name!r}, expected {name!r}")
         if str(manifest.version) != stem:
@@ -378,8 +402,9 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _read_manifest(path: Path) -> PackageManifest:
-    raw = _parse_json(path.read_bytes(), str(path))
+def _read_manifest(data: bytes, path: str, parse) -> PackageManifest:
+    """``parse`` turns a constraint text into a Constraint."""
+    raw = _parse_json(data, path)
     if not isinstance(raw, dict):
         raise RepositoryError(f"{path}: expected an object")
     for key in _MANIFEST_FIELDS:
@@ -393,10 +418,10 @@ def _read_manifest(path: Path) -> PackageManifest:
             raise RepositoryError(f"{path}: field {key!r} has the wrong type")
     return PackageManifest(
         name=raw["name"],
-        version=_parse_field(raw["version"], parse_version, str(path), "version"),
-        toolchain=_parse_field(raw["toolchain"], parse_constraint, str(path), "toolchain"),
-        depends=_parse_edges(raw["depends"], str(path), "depends"),
-        conflicts=_parse_edges(raw["conflicts"], str(path), "conflicts"),
+        version=_parse_field(raw["version"], parse_version, path, "version"),
+        toolchain=_parse_field(raw["toolchain"], parse, path, "toolchain"),
+        depends=_parse_edges(raw["depends"], parse, path, "depends"),
+        conflicts=_parse_edges(raw["conflicts"], parse, path, "conflicts"),
         dev=raw["dev"],
         source_ref=raw["source_ref"],
         deprecated=raw["deprecated"],
@@ -413,7 +438,9 @@ def _parse_field(text: str, parser, context: str, fieldname: str):
         raise RepositoryError(f"{context}: field {fieldname!r}: {exc}") from exc
 
 
-def _parse_edges(raw: list, context: str, fieldname: str) -> tuple[tuple[str, Constraint], ...]:
+def _parse_edges(
+    raw: list, parse, context: str, fieldname: str
+) -> tuple[tuple[str, Constraint], ...]:
     edges = []
     for i, entry in enumerate(raw):
         if (
@@ -425,6 +452,6 @@ def _parse_edges(raw: list, context: str, fieldname: str) -> tuple[tuple[str, Co
                 f"{context}: field {fieldname!r}[{i}] must be a [name, constraint] pair"
             )
         target, constraint_text = entry
-        constraint = _parse_field(constraint_text, parse_constraint, context, f"{fieldname}[{i}]")
+        constraint = _parse_field(constraint_text, parse, context, f"{fieldname}[{i}]")
         edges.append((target, constraint))
     return tuple(edges)

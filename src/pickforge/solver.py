@@ -21,13 +21,18 @@ lexicographic objective:
    versions over older ones.
 
 ``resolve_pick`` finds the optimum with one branch-and-bound search
-(``_search``) over candidate tables built once per request
-(``_SearchSpace``).  The search branches in the objective's own order and
-backjumps on conflicts, so the first selection it finds is the best with
-its number of optionals.  The search then resumes and asks for strictly
-more optionals, until no such selection exists.  ``enumerate_best``
-recomputes the optimum by exhaustive enumeration and serves as the
-reference implementation for testing.  Both are pure and deterministic.
+(``_search``) over integer candidate tables.  Their toolchain-independent
+half (``_CandidateTable``: version order, dependency targets, clashes) is
+built once per repository and cached on it, so the toolchains of a release
+share it; each request adds only its toolchain, dev and override filter and
+the pruning that follows from it (``_SearchSpace``).  The search branches in
+the objective's own order and backjumps on conflicts, so the first
+selection it finds is the best with its number of optionals.  The search
+then resumes and asks for strictly more optionals, until no such selection
+exists.  ``enumerate_best`` recomputes the optimum by exhaustive
+enumeration and serves as the reference implementation for testing; it
+reads no table.  Both are deterministic, and neither changes the
+repository beyond that cached table.
 """
 
 from __future__ import annotations
@@ -308,83 +313,145 @@ def _unsat_report(repo: Repository, req: SelectionRequest, sat) -> UnsatReport:
 # --- branch-and-bound resolver ------------------------------------------------
 
 
-class _SearchSpace:
-    """Candidate tables for one request, built once and shared by its searches.
+class _CandidateTable:
+    """The toolchain-independent half of every request's search space.
 
-    Every selectable (name, version) is a candidate with an integer id.
-    ``ids[name]`` holds a package's candidates, newest first, and
-    ``versions[c]`` maps an id back to its version.  ``requires[c]`` names
-    the packages candidate ``c`` depends on, and ``dependents[name]`` the
-    packages with a candidate that depends on ``name``.  ``blocked[c]`` holds
-    every candidate that cannot be selected together with ``c``: one of the
-    two depends on the other's package and the other's version does not
-    satisfy that dependency, or one conflicts with the other.  The search
-    reads only these tables, so it never compares versions.
+    Built by the first ``resolve_pick`` on a repository and cached on it
+    (``Repository.search_table``), so the requests of a release share it.
+    Every manifest has an integer id: ``ids[name]`` holds a package's ids,
+    newest first, and ``versions[c]`` maps an id back to its version.
+    ``depends[c]`` pairs each dependency of ``c`` with the ids of the target
+    versions it admits, and ``requires[c]`` names those targets.
+    ``dependents[name]`` names the packages with a version that depends on
+    ``name``, and ``unmeetable`` those with a version that has a dependency
+    no version satisfies.  ``blocked[c]`` holds every id that cannot be
+    selected together with ``c``: one of the two depends on the other's
+    package and the other's version does not satisfy that dependency, or one
+    conflicts with the other.  ``toolchain_of[c]`` indexes ``c``'s toolchain constraint
+    in ``toolchains``, so a request tests each distinct constraint once.
     """
 
-    def __init__(self, repo: Repository, req: SelectionRequest):
+    def __init__(self, repo: Repository):
         self.versions: list[Version] = []
         self.ids: dict[str, tuple[int, ...]] = {}
         manifests = []
-        for name in repo.packages:
-            domain = _candidate_versions(
-                repo, req.toolchain, req.include_dev, req.overrides, name
-            )
-            self.ids[name] = tuple(range(len(self.versions), len(self.versions) + len(domain)))
-            self.versions.extend(domain)
-            manifests.extend(repo.packages[name][version] for version in domain)
+        for name, by_version in repo.packages.items():
+            start = len(self.versions)
+            self.versions.extend(sorted(by_version, reverse=True))
+            self.ids[name] = tuple(range(start, len(self.versions)))
+            manifests.extend(by_version[version] for version in self.versions[start:])
+        toolchains: dict[Constraint, int] = {}
+        self.toolchain_of = [
+            toolchains.setdefault(manifest.toolchain, len(toolchains)) for manifest in manifests
+        ]
+        self.toolchains = tuple(toolchains)
+        self.dev = [manifest.dev for manifest in manifests]
+        admitted: dict[tuple[str, Constraint], frozenset[int]] = {}
 
-        def matching(target: str, constraint: Constraint) -> frozenset[int]:
-            return frozenset(
-                c for c in self.ids[target] if satisfies(self.versions[c], constraint)
-            )
+        def admits(target: str, constraint: Constraint) -> frozenset[int]:
+            key = (target, constraint)
+            if key not in admitted:
+                admitted[key] = frozenset(
+                    c for c in self.ids[target] if satisfies(self.versions[c], constraint)
+                )
+            return admitted[key]
 
-        depends = [
-            [(dep, matching(dep, constraint)) for dep, constraint in manifest.depends]
+        self.depends = [
+            tuple((dep, admits(dep, constraint)) for dep, constraint in manifest.depends)
             for manifest in manifests
         ]
-        self._prune_unmeetable(depends)
-        self.requires = [tuple(dep for dep, _ in edges) for edges in depends]
-        dependents: dict[str, set[str]] = {name: set() for name in self.ids}
+        self.requires = [tuple(dep for dep, _ in edges) for edges in self.depends]
+        self.dependents: dict[str, set[str]] = {name: set() for name in self.ids}
+        self.unmeetable: set[str] = set()
         blocked: list[set[int]] = [set() for _ in manifests]
         for name, ids in self.ids.items():
             for c in ids:
-                for dep in self.requires[c]:
-                    dependents[dep].add(name)
+                for dep, allowed in self.depends[c]:
+                    self.dependents[dep].add(name)
+                    if not allowed:
+                        self.unmeetable.add(name)
                 clashing = [
                     other
-                    for dep, allowed in depends[c]
+                    for dep, allowed in self.depends[c]
                     for other in self.ids[dep]
                     if other not in allowed
                 ]
                 for target, constraint in manifests[c].conflicts:
-                    clashing.extend(matching(target, constraint))
+                    clashing.extend(admits(target, constraint))
                 for other in clashing:
                     blocked[c].add(other)
                     blocked[other].add(c)
-        self.dependents = {name: tuple(sorted(names)) for name, names in dependents.items()}
         self.blocked = [frozenset(b) for b in blocked]
+
+    def candidates(self, req: SelectionRequest) -> dict[str, tuple[int, ...]]:
+        """Each package's selectable ids for a request, newest first: the
+        toolchain and dev filters, or the override's one pinned version."""
+        fits = [satisfies(req.toolchain, constraint) for constraint in self.toolchains]
+        admitted = [
+            fits[k] and (req.include_dev or not dev) for k, dev in zip(self.toolchain_of, self.dev)
+        ]
+        ids = {name: tuple(c for c in ids if admitted[c]) for name, ids in self.ids.items()}
+        for name, version in req.overrides.items():
+            ids[name] = tuple(c for c in self.ids[name] if self.versions[c] == version)
+        return ids
+
+
+class _SearchSpace:
+    """One request's view of its repository's candidate table.
+
+    ``ids[name]`` holds the package's candidates, newest first: the ids the
+    request admits, less those pruned by ``_prune_unmeetable``.
+    ``versions``, ``requires`` and ``blocked`` are the table's, except that
+    an override's id maps to the override's own version.  ``blocked[c]``
+    may hold ids that are not candidates; the search reads it only for
+    chosen ones.  ``dependents[name]`` names the packages with a candidate
+    that depends on ``name``.  The search reads only these tables, so it
+    never compares versions.
+    """
+
+    def __init__(self, repo: Repository, req: SelectionRequest):
+        if repo.search_table is None:
+            repo.search_table = _CandidateTable(repo)
+        table = repo.search_table
+        self.ids = table.candidates(req)
+        self.versions = table.versions
+        if req.overrides:
+            self.versions = list(table.versions)
+            for name, version in req.overrides.items():
+                self.versions[self.ids[name][0]] = version
+        self.requires, self.blocked = table.requires, table.blocked
+        self._prune_unmeetable(table)
+        dependents: dict[str, set[str]] = {name: set() for name in self.ids}
+        for name, ids in self.ids.items():
+            for c in ids:
+                for dep in self.requires[c]:
+                    dependents[dep].add(name)
+        self.dependents = {name: tuple(sorted(names)) for name, names in dependents.items()}
         # optionals that can never be selected are dropped from branching;
         # they contribute nothing to any selection's optional count
         self.live_optionals = tuple(o for o in sorted(req.optional) if self.ids[o])
 
-    def _prune_unmeetable(self, depends: list[list[tuple[str, frozenset[int]]]]) -> None:
+    def _prune_unmeetable(self, table: _CandidateTable) -> None:
         """Arc consistency over dependency edges: drop candidates with a
         dependency no remaining candidate of the target satisfies.  Pruned
         candidates cannot appear in any feasible selection, so this only
         shrinks the search, never its solution set."""
-        changed = True
-        while changed:
-            changed = False
-            for name in sorted(self.ids):
-                kept = tuple(
-                    c
-                    for c in self.ids[name]
-                    if all(not allowed.isdisjoint(self.ids[dep]) for dep, allowed in depends[c])
-                )
-                if len(kept) != len(self.ids[name]):
-                    self.ids[name] = kept
-                    changed = True
+        # a candidate can lose its last match only through a dependency the
+        # request's filter shrank, or one that no version satisfies at all
+        todo = set(table.unmeetable)
+        for name, ids in self.ids.items():
+            if len(ids) < len(table.ids[name]):
+                todo.update(table.dependents[name])
+        while todo:
+            name = todo.pop()
+            kept = tuple(
+                c
+                for c in self.ids[name]
+                if all(not allowed.isdisjoint(self.ids[d]) for d, allowed in table.depends[c])
+            )
+            if len(kept) != len(self.ids[name]):
+                self.ids[name] = kept
+                todo.update(table.dependents[name])
 
 
 _ABSENT = -1  # the value that leaves a package out of the selection

@@ -88,6 +88,50 @@ class TestLoadLocal:
         with pytest.raises(RepositoryError, match="9.9"):
             load_repository(tmp_path)
 
+    def test_listed_version_that_is_a_directory(self, tmp_path):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        (tmp_path / "packages" / "alpha" / "versions.json").write_text('["1.0", "1.1"]')
+        (tmp_path / "packages" / "alpha" / "1.1.json").mkdir()
+        listing = tmp_path / "packages" / "alpha" / "versions.json"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"{listing}: listed version '1.1' has no manifest file"
+
+    def test_missing_package_directory(self, tmp_path):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        (tmp_path / "index.json").write_text(
+            json.dumps({"toolchains": ["8.15"], "packages": ["alpha", "beta"]})
+        )
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"missing package directory {tmp_path / 'packages' / 'beta'}"
+
+    def test_bad_constraint_among_repeated_texts_names_its_own_file(self, tmp_path):
+        # constraint texts are shared between manifests; a malformed one
+        # must still be reported against the manifest and field holding it
+        shared = {"toolchain": ">=8.12", "depends": [["alpha", ">=1.0"]]}
+        write_fixture(
+            tmp_path,
+            ["8.15"],
+            [
+                raw_manifest("alpha", "1.0", toolchain=">=8.12"),
+                raw_manifest("beta", "1.0", **shared),
+                raw_manifest("gamma", "1.0", **shared),
+                raw_manifest(
+                    "gamma",
+                    "1.1",
+                    toolchain=">=8.12",
+                    depends=[["alpha", ">=1.0"], ["beta", ">=1,"]],
+                ),
+            ],
+        )
+        path = tmp_path / "packages" / "gamma" / "1.1.json"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == (
+            f"{path}: field 'depends[1]': unknown operator '' at offset 4 in '>=1,'"
+        )
+
     def test_scan_fallback_without_versions_listing(self, tmp_path):
         write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
         (tmp_path / "packages" / "alpha" / "versions.json").unlink()

@@ -9,7 +9,12 @@ import hypothesis.strategies as st
 
 from conftest import make_repo, mf
 from pickforge import solver
-from pickforge.index import Repository, UnknownPackageError, validate_repository
+from pickforge.index import (
+    Repository,
+    UnknownPackageError,
+    compatible_versions,
+    validate_repository,
+)
 from pickforge.solver import (
     DEPENDENCY_MISSING,
     DEPENDENCY_VIOLATION,
@@ -544,3 +549,186 @@ def test_resolver_matches_reference_on_pulled_only_corpus():
         kept += 1
         assert validate_repository(repo) == []
         assert resolve_pick(repo, req) == enumerate_best(repo, req), (kept, req)
+
+
+# --- one candidate table per repository -------------------------------------------
+
+TOOLCHAINS = ("8.12", "8.13", "8.14", "8.15")
+SHARED_CORPUS_SIZE = 150
+SHARED_CORPUS_SEED = 2024
+SHARED_SPACE_CAP = 400
+
+
+def _toolchain_instance(rng: random.Random) -> tuple[Repository, SelectionRequest, dict]:
+    """A small four-toolchain instance, a request, and an override for it.
+
+    Versions carry toolchain floors, ceilings and exclusions, and some
+    packages add a dev snapshot, so each (toolchain, dev filter, override)
+    leaves a different set of candidates.  The override may name a dev
+    snapshot or a version its toolchain constraint rules out.
+    """
+    names = [chr(ord("a") + i) for i in range(rng.randint(3, 6))]
+    manifests = []
+    for name in names:
+        for version in sorted(rng.sample(("1.0", "1.1", "2.0", "3.0"), rng.randint(1, 2))):
+            depends = [
+                (other, rng.choice(("*", ">=1.1", "<2.0")))
+                for other in names
+                if other != name and rng.random() < 0.3
+            ]
+            conflicts = [
+                (other, rng.choice(("*", ">=2.0")))
+                for other in names
+                if other != name and rng.random() < 0.08
+            ]
+            toolchain = rng.choice(("*", "*", ">=8.13", "<8.15", ">=8.14", "!=8.13"))
+            manifests.append(
+                mf(name, version, toolchain=toolchain, depends=depends, conflicts=conflicts)
+            )
+        if rng.random() < 0.3:
+            toolchain = rng.choice(("*", ">=8.14"))
+            manifests.append(mf(name, "9.0-dev", toolchain=toolchain, dev=True, source_ref="c0"))
+    repo = make_repo(TOOLCHAINS, manifests)
+    mandatory = frozenset(name for name in names if rng.random() < 0.2)
+    optional = frozenset(name for name in names if name not in mandatory and rng.random() < 0.8)
+    request = SelectionRequest(toolchain=V("8.12"), mandatory=mandatory, optional=optional)
+    pinned = rng.choice(sorted(mandatory | optional or {names[0]}))
+    return repo, request, {pinned: rng.choice(sorted(repo.packages[pinned]))}
+
+
+def _outcome(resolve, repo: Repository, req: SelectionRequest):
+    try:
+        return resolve(repo, req)
+    except OverrideError as exc:
+        return str(exc)
+
+
+def test_one_table_serves_every_request_on_a_repository():
+    # every request reuses the table the first one built, so a filter or an
+    # override pin that leaked into it would change a later request's answer
+    rng = random.Random(SHARED_CORPUS_SEED)
+    kept = 0
+    while kept < SHARED_CORPUS_SIZE:
+        repo, base, override = _toolchain_instance(rng)
+        if math.prod(len(versions) + 1 for versions in repo.packages.values()) > SHARED_SPACE_CAP:
+            continue
+        kept += 1
+        assert validate_repository(repo) == []
+        for toolchain in TOOLCHAINS:
+            for include_dev in (False, True):
+                for overrides in ({}, override):
+                    req = SelectionRequest(
+                        toolchain=V(toolchain),
+                        mandatory=base.mandatory,
+                        optional=base.optional | (frozenset(overrides) - base.mandatory),
+                        overrides=overrides,
+                        include_dev=include_dev,
+                    )
+                    want = _outcome(enumerate_best, repo, req)
+                    assert _outcome(resolve_pick, repo, req) == want, (kept, req)
+
+
+def _plainly_pruned(repo: Repository, req: SelectionRequest) -> dict[str, list]:
+    """Arc consistency the plain way: sweep every package until no version
+    with a dependency that no kept version of its target satisfies is left."""
+    kept = {
+        name: list(
+            solver._candidate_versions(repo, req.toolchain, req.include_dev, req.overrides, name)
+        )
+        for name in repo.packages
+    }
+    changed = True
+    while changed:
+        changed = False
+        for name, versions in kept.items():
+            meetable = [
+                version
+                for version in versions
+                if all(
+                    any(solver.satisfies(other, constraint) for other in kept[dep])
+                    for dep, constraint in repo.packages[name][version].depends
+                )
+            ]
+            if meetable != versions:
+                kept[name], changed = meetable, True
+    return kept
+
+
+def test_pruned_candidates_match_a_plain_fixpoint():
+    # the pruning starts only from packages whose candidates can have lost
+    # a match; it must still reach the fixpoint a full sweep reaches
+    rng = random.Random(SHARED_CORPUS_SEED)
+    for _ in range(SHARED_CORPUS_SIZE):
+        repo, base, override = _toolchain_instance(rng)
+        for toolchain in TOOLCHAINS:
+            for include_dev in (False, True):
+                req = SelectionRequest(
+                    toolchain=V(toolchain),
+                    optional=frozenset(repo.packages),
+                    overrides=override,
+                    include_dev=include_dev,
+                )
+                space = solver._SearchSpace(repo, req)
+                got = {
+                    name: [space.versions[c] for c in ids] for name, ids in space.ids.items()
+                }
+                assert got == _plainly_pruned(repo, req)
+
+
+def test_later_toolchains_reuse_the_candidate_table(monkeypatch):
+    rng = random.Random(11)
+    names = [f"p{i:02d}" for i in range(40)]
+    manifests = []
+    for i, name in enumerate(names):
+        floor = rng.choice(TOOLCHAINS)
+        depends = [
+            (dep, rng.choice(("*", ">=1.0", "<2.0")))
+            for dep in sorted(rng.sample(names[:i], min(i, 3)))
+        ]
+        for version in ("1.0", "1.1", "2.0")[: rng.randint(1, 3)]:
+            manifests.append(mf(name, version, toolchain=f">={floor}", depends=depends))
+    repo = make_repo(TOOLCHAINS, manifests)
+
+    def request(toolchain: str) -> SelectionRequest:
+        return SelectionRequest(toolchain=V(toolchain), optional=frozenset(names))
+
+    resolve_pick(repo, request("8.12"))
+    calls = []
+    satisfies = solver.satisfies
+    monkeypatch.setattr(
+        solver, "satisfies", lambda *args: calls.append(args) or satisfies(*args)
+    )
+    pick = resolve_pick(repo, request("8.15"))
+    # only the toolchain filter tests versions: one call per distinct
+    # toolchain constraint, and never one per dependency edge
+    assert len(calls) <= len(manifests)
+    monkeypatch.setattr(solver, "satisfies", satisfies)
+    assert pick == resolve_pick(make_repo(TOOLCHAINS, manifests), request("8.15"))
+    assert sorted(pick.selected) == names
+
+
+def test_request_candidates_match_compatible_versions(platform_repo):
+    # _exclusion_reason reads _candidate_versions, so it must see the
+    # candidates the search saw
+    table = solver._CandidateTable(platform_repo)
+    for toolchain in platform_repo.toolchains:
+        for include_dev in (False, True):
+            ids = table.candidates(SelectionRequest(toolchain=toolchain, include_dev=include_dev))
+            for name in platform_repo.packages:
+                got = [table.versions[c] for c in ids[name]]
+                assert got == compatible_versions(platform_repo, name, toolchain, include_dev)
+                for version in platform_repo.versions(name):
+                    overrides = {name: version}
+                    pinned = table.candidates(
+                        SelectionRequest(
+                            toolchain=toolchain,
+                            optional={name},
+                            overrides=overrides,
+                            include_dev=include_dev,
+                        )
+                    )
+                    assert [table.versions[c] for c in pinned[name]] == list(
+                        solver._candidate_versions(
+                            platform_repo, toolchain, include_dev, overrides, name
+                        )
+                    )
