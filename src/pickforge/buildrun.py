@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import shlex
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import PickforgeError
@@ -43,26 +43,29 @@ class SandboxError(PickforgeError):
     """The sandbox directory is unusable."""
 
 
-@dataclass(frozen=True)
-class InstallStep:
-    name: str
-    version: Version
-    build_cmd: str
-    smoke_cmd: str
+class InstallStep(namedtuple("InstallStep", "name version build_cmd smoke_cmd")):
+    __slots__ = ()
 
 
-@dataclass
 class InstallPlan:
-    """Topologically ordered build steps plus the dependency edges among them."""
+    """Topologically ordered build steps plus the dependency edges among them.
 
-    toolchain: Version
-    steps: list[InstallStep]
-    dependencies: dict[str, tuple[str, ...]]
-    plan_digest: str = ""
+    ``plan_digest`` defaults to the SHA-256 of the plan's canonical JSON.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.plan_digest:
-            self.plan_digest = _digest(self)
+    __slots__ = ("toolchain", "steps", "dependencies", "plan_digest")
+
+    def __init__(
+        self,
+        toolchain: Version,
+        steps: list[InstallStep],
+        dependencies: dict[str, tuple[str, ...]],
+        plan_digest: str = "",
+    ):
+        self.toolchain = toolchain
+        self.steps = steps
+        self.dependencies = dependencies
+        self.plan_digest = plan_digest or _digest(self)
 
 
 def _digest(plan: InstallPlan) -> str:
@@ -143,22 +146,22 @@ def _find_cycle(edges: dict[str, tuple[str, ...]], remaining: set[str]) -> list[
         path.append(current)
 
 
-@dataclass(frozen=True)
-class StepResult:
-    name: str
-    version: Version
-    status: str
-    build_exit: int | None
-    smoke_exit: int | None
-    log_path: str
+class StepResult(
+    namedtuple("StepResult", "name version status build_exit smoke_exit log_path")
+):
+    """``build_exit`` and ``smoke_exit`` are None for a phase that did not run."""
+
+    __slots__ = ()
 
 
-@dataclass
 class SmokeReport:
     """Per-step outcomes of one plan run; passes only when every step passed."""
 
-    toolchain: Version
-    results: list[StepResult]
+    __slots__ = ("toolchain", "results")
+
+    def __init__(self, toolchain: Version, results: list[StepResult]):
+        self.toolchain = toolchain
+        self.results = results
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import PickforgeError
@@ -65,35 +65,52 @@ class UnknownPackageError(PickforgeError):
         super().__init__(f"unknown package {name!r}")
 
 
-@dataclass(frozen=True)
-class PackageManifest:
-    """Declared metadata for one (package, version)."""
+class PackageManifest(
+    namedtuple(
+        "PackageManifest",
+        "name version toolchain depends conflicts dev source_ref deprecated maintainer "
+        "build_cmd smoke_cmd",
+        defaults=((), (), False, None, False, "", "true", "true"),
+    )
+):
+    """Declared metadata for one (package, version).
 
-    name: str
-    version: Version
-    toolchain: Constraint
-    depends: tuple[tuple[str, Constraint], ...] = ()
-    conflicts: tuple[tuple[str, Constraint], ...] = ()
-    dev: bool = False
-    source_ref: str | None = None
-    deprecated: bool = False
-    maintainer: str = ""
-    build_cmd: str = "true"
-    smoke_cmd: str = "true"
+    ``name: str``, ``version: Version``, ``toolchain: Constraint``;
+    ``depends`` and ``conflicts`` are ``tuple[tuple[str, Constraint], ...]``;
+    ``dev: bool``, ``source_ref: str | None``, ``deprecated: bool``, and
+    ``maintainer``, ``build_cmd``, ``smoke_cmd`` are strings.
+    """
+
+    __slots__ = ()
 
 
-@dataclass
 class Repository:
     """Immutable-by-convention index of manifests plus the toolchain list.
 
     The first ``resolve_pick`` on a repository caches the solver's candidate
     table in ``search_table``, and later requests reuse it.  So a repository
-    must not be mutated once it has been resolved against.
+    must not be mutated once it has been resolved against.  Equality and
+    ``repr`` ignore ``search_table``.
     """
 
-    toolchains: tuple[Version, ...]
-    packages: dict[str, dict[Version, PackageManifest]] = field(default_factory=dict)
-    search_table: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("toolchains", "packages", "search_table")
+
+    def __init__(
+        self,
+        toolchains: tuple[Version, ...],
+        packages: dict[str, dict[Version, PackageManifest]] | None = None,
+    ):
+        self.toolchains = toolchains
+        self.packages = {} if packages is None else packages
+        self.search_table = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.toolchains == other.toolchains and self.packages == other.packages
+
+    def __repr__(self) -> str:
+        return f"Repository(toolchains={self.toolchains!r}, packages={self.packages!r})"
 
     def manifest(self, name: str, version: Version) -> PackageManifest:
         try:
@@ -108,11 +125,10 @@ class Repository:
         return sorted(self.packages[name], reverse=True)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str
-    package: str | None
-    detail: str
+class ValidationIssue(namedtuple("ValidationIssue", "kind package detail")):
+    """``package`` is None for an issue of the index as a whole."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         scope = f"{self.package}: " if self.package else ""

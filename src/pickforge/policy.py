@@ -13,7 +13,7 @@ compatible, only a development snapshot is, or nothing is known to be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PickforgeError
 from .index import Repository, UnknownPackageError, compatible_versions
@@ -38,19 +38,20 @@ class PolicyError(PickforgeError):
     """A policy operation was invoked with inconsistent inputs."""
 
 
-@dataclass(frozen=True)
-class SuccessionPair:
-    lower: Version
-    upper: Version
-    witness: Version | None
+class SuccessionPair(namedtuple("SuccessionPair", "lower upper witness")):
+    """``witness`` is the newest released version admitting both toolchains, or None."""
+
+    __slots__ = ()
 
 
-@dataclass
 class SuccessionReport:
     """Per consecutive toolchain pair, a released version spanning both, if any."""
 
-    package: str
-    pairs: list[SuccessionPair]
+    __slots__ = ("package", "pairs")
+
+    def __init__(self, package: str, pairs: list[SuccessionPair]):
+        self.package = package
+        self.pairs = pairs
 
     @property
     def compliant(self) -> bool:
@@ -80,22 +81,22 @@ def check_succession(repo: Repository, name: str) -> SuccessionReport:
     return SuccessionReport(package=name, pairs=pairs)
 
 
-@dataclass(frozen=True)
-class CoordinationEntry:
-    package: str
-    status: str
-    version: Version | None
-    source_ref: str | None
-    action: str
-    maintainer: str
+class CoordinationEntry(
+    namedtuple("CoordinationEntry", "package status version source_ref action maintainer")
+):
+    """``version`` and ``source_ref`` are None where the status names none."""
+
+    __slots__ = ()
 
 
-@dataclass
 class CoordinationReport:
     """Per-package compatibility status against a release candidate toolchain."""
 
-    rc: Version
-    entries: list[CoordinationEntry]
+    __slots__ = ("rc", "entries")
+
+    def __init__(self, rc: Version, entries: list[CoordinationEntry]):
+        self.rc = rc
+        self.entries = entries
 
     def to_markdown(self) -> str:
         lines = [f"# Coordination report for release candidate {self.rc}", ""]
@@ -191,11 +192,8 @@ def coordinate(repo: Repository, rc: Version, reference: Pick) -> CoordinationRe
     return CoordinationReport(rc=rc, entries=entries)
 
 
-@dataclass(frozen=True)
-class PolicyViolation:
-    kind: str
-    package: str
-    message: str
+class PolicyViolation(namedtuple("PolicyViolation", "kind package message")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.message}"

@@ -21,7 +21,7 @@ write∘read∘write equals write.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import PickforgeError
 from .index import Repository
@@ -43,13 +43,33 @@ class LockfileError(PickforgeError):
     """A lockfile does not match the schema; names the offending field."""
 
 
-@dataclass
 class Release:
     """Several picks, at most one per toolchain, under one calendar version."""
 
-    version: CalendarVersion
-    picks: list[Pick]
-    predecessor: CalendarVersion | None = None
+    __slots__ = ("version", "picks", "predecessor")
+
+    def __init__(
+        self,
+        version: CalendarVersion,
+        picks: list[Pick],
+        predecessor: CalendarVersion | None = None,
+    ):
+        self.version = version
+        self.picks = picks
+        self.predecessor = predecessor
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.version, self.picks, self.predecessor) == (
+            other.version, other.picks, other.predecessor
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Release(version={self.version!r}, picks={self.picks!r}, "
+            f"predecessor={self.predecessor!r})"
+        )
 
     def pick_for(self, toolchain: Version) -> Pick:
         for pick in self.picks:
@@ -61,11 +81,8 @@ class Release:
         return [pick.toolchain for pick in self.picks]
 
 
-@dataclass(frozen=True)
-class AssemblyWarning:
-    kind: str
-    package: str
-    message: str
+class AssemblyWarning(namedtuple("AssemblyWarning", "kind package message")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.message}"
@@ -136,15 +153,21 @@ def dropped_packages(
     return dropped
 
 
-@dataclass
 class PickDiff:
-    """Partition of the union of two picks' selected names."""
+    """Partition of the union of two picks' selected names.
 
-    added: set[str] = field(default_factory=set)
-    removed: set[str] = field(default_factory=set)
-    upgraded: dict[str, tuple[Version, Version]] = field(default_factory=dict)
-    downgraded: dict[str, tuple[Version, Version]] = field(default_factory=dict)
-    unchanged: set[str] = field(default_factory=set)
+    ``added``, ``removed`` and ``unchanged`` are sets of names;
+    ``upgraded`` and ``downgraded`` map names to (old, new) versions.
+    """
+
+    __slots__ = ("added", "removed", "upgraded", "downgraded", "unchanged")
+
+    def __init__(self):
+        self.added: set[str] = set()
+        self.removed: set[str] = set()
+        self.upgraded: dict[str, tuple[Version, Version]] = {}
+        self.downgraded: dict[str, tuple[Version, Version]] = {}
+        self.unchanged: set[str] = set()
 
 
 def diff_picks(a: Pick, b: Pick) -> PickDiff:
@@ -165,18 +188,22 @@ def diff_picks(a: Pick, b: Pick) -> PickDiff:
     return diff
 
 
-@dataclass
 class UpgradeStep:
-    from_toolchain: Version
-    to_toolchain: Version
-    diff: PickDiff
+    __slots__ = ("from_toolchain", "to_toolchain", "diff")
+
+    def __init__(self, from_toolchain: Version, to_toolchain: Version, diff: PickDiff):
+        self.from_toolchain = from_toolchain
+        self.to_toolchain = to_toolchain
+        self.diff = diff
 
 
-@dataclass
 class UpgradeReport:
     """Stepwise path through every intermediate toolchain of a release."""
 
-    steps: list[UpgradeStep]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[UpgradeStep]):
+        self.steps = steps
 
     @property
     def monotone(self) -> bool:

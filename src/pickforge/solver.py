@@ -38,7 +38,7 @@ repository beyond that cached table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import PickforgeError
 from .index import Repository, UnknownPackageError, compatible_versions
@@ -61,20 +61,28 @@ class EnumerationLimitError(PickforgeError):
     """The assignment space exceeds the caller-supplied enumeration limit."""
 
 
-@dataclass
 class SelectionRequest:
-    """What to resolve: a toolchain plus mandatory and optional package sets."""
+    """What to resolve: a toolchain plus mandatory and optional package sets.
 
-    toolchain: Version
-    mandatory: frozenset[str] = frozenset()
-    optional: frozenset[str] = frozenset()
-    overrides: dict[str, Version] = field(default_factory=dict)
-    include_dev: bool = False
+    ``mandatory`` and ``optional`` are stored as frozensets and
+    ``overrides`` (name -> pinned version) as a copy.
+    """
 
-    def __post_init__(self) -> None:
-        self.mandatory = frozenset(self.mandatory)
-        self.optional = frozenset(self.optional)
-        self.overrides = dict(self.overrides)
+    __slots__ = ("toolchain", "mandatory", "optional", "overrides", "include_dev")
+
+    def __init__(
+        self,
+        toolchain: Version,
+        mandatory: frozenset[str] = frozenset(),
+        optional: frozenset[str] = frozenset(),
+        overrides: dict[str, Version] | None = None,
+        include_dev: bool = False,
+    ):
+        self.toolchain = toolchain
+        self.mandatory = frozenset(mandatory)
+        self.optional = frozenset(optional)
+        self.overrides = {} if overrides is None else dict(overrides)
+        self.include_dev = include_dev
         overlap = self.mandatory & self.optional
         if overlap:
             raise ValueError(
@@ -86,29 +94,57 @@ class SelectionRequest:
                 f"override targets outside the request: {', '.join(sorted(stray))}"
             )
 
+    def __repr__(self) -> str:
+        return (
+            f"SelectionRequest(toolchain={self.toolchain!r}, mandatory={self.mandatory!r}, "
+            f"optional={self.optional!r}, overrides={self.overrides!r}, "
+            f"include_dev={self.include_dev!r})"
+        )
 
-@dataclass
+
 class Pick:
-    """A resolved selection for one toolchain, with reasons for exclusions."""
+    """A resolved selection for one toolchain, with reasons for exclusions.
 
-    toolchain: Version
-    selected: dict[str, Version] = field(default_factory=dict)
-    excluded: dict[str, str] = field(default_factory=dict)
+    ``selected`` maps names to versions and ``excluded`` names to reasons.
+    """
+
+    __slots__ = ("toolchain", "selected", "excluded")
+
+    def __init__(
+        self,
+        toolchain: Version,
+        selected: dict[str, Version] | None = None,
+        excluded: dict[str, str] | None = None,
+    ):
+        self.toolchain = toolchain
+        self.selected = {} if selected is None else selected
+        self.excluded = {} if excluded is None else excluded
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.toolchain, self.selected, self.excluded) == (
+            other.toolchain, other.selected, other.excluded
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Pick(toolchain={self.toolchain!r}, selected={self.selected!r}, "
+            f"excluded={self.excluded!r})"
+        )
 
 
-@dataclass(frozen=True)
-class UnsatReport:
-    """Why no pick exists: a minimal conflicting subset of the mandatory set."""
+class UnsatReport(namedtuple("UnsatReport", "culprits narrative")):
+    """Why no pick exists: a minimal conflicting subset of the mandatory set.
 
-    culprits: tuple[str, ...]
-    narrative: tuple[str, ...]
+    ``culprits`` and ``narrative`` are tuples of strings.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PickViolation:
-    kind: str
-    package: str
-    detail: str
+class PickViolation(namedtuple("PickViolation", "kind package detail")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
@@ -234,45 +270,53 @@ def _solution_key(
 
 
 def _build_pick(
-    repo: Repository, req: SelectionRequest, assignment: dict[str, Version]
+    repo: Repository, req: SelectionRequest, assignment: dict[str, Version], candidates, supported
 ) -> Pick:
+    """The pick for an optimal assignment, with a reason for each optional
+    left out.  ``candidates(name)`` gives the versions the request's filter
+    admits, newest first and before any pruning; ``supported(name)`` tells
+    whether any version at all admits the request's toolchain."""
     selected = {name: assignment[name] for name in sorted(assignment)}
-    excluded = {}
-    for name in sorted(req.optional):
-        if name not in assignment:
-            excluded[name] = _exclusion_reason(repo, req, selected, name)
+    excluded = {
+        name: _exclusion_reason(repo, req, selected, name, candidates, supported)
+        for name in sorted(req.optional)
+        if name not in assignment
+    }
     return Pick(toolchain=req.toolchain, selected=selected, excluded=excluded)
 
 
 def _exclusion_reason(
-    repo: Repository, req: SelectionRequest, selected: dict[str, Version], name: str
+    repo: Repository,
+    req: SelectionRequest,
+    selected: dict[str, Version],
+    name: str,
+    candidates,
+    supported,
 ) -> str:
-    """Deterministic explanation of why an optional package is not selected."""
-    candidates = _candidate_versions(repo, req.toolchain, req.include_dev, req.overrides, name)
-    if not candidates:
-        if any(
-            satisfies(req.toolchain, manifest.toolchain)
-            for manifest in repo.packages[name].values()
-        ):
+    """Deterministic explanation of why an optional package is not selected.
+
+    ``selected`` is in name order; ``candidates`` and ``supported`` are as
+    for ``_build_pick``.
+    """
+    versions = candidates(name)
+    if not versions:
+        if supported(name):
             return f"only development snapshots support toolchain {req.toolchain}"
         return f"no version supports toolchain {req.toolchain}"
-    newest = candidates[0]
+    newest = versions[0]
     manifest = repo.packages[name][newest]
     for other, constraint in manifest.conflicts:
         if other in selected and satisfies(selected[other], constraint):
             return f"conflict with {other}={selected[other]}"
-    for other in sorted(selected):
-        other_manifest = repo.packages[other][selected[other]]
-        for target, constraint in other_manifest.conflicts:
+    for other, version in selected.items():
+        for target, constraint in repo.packages[other][version].conflicts:
             if target == name and satisfies(newest, constraint):
-                return f"conflict with {other}={selected[other]}"
+                return f"conflict with {other}={version}"
     for dep, constraint in manifest.depends:
         if dep in selected and not satisfies(selected[dep], constraint):
             return f"requires {dep} {constraint} but {dep}={selected[dep]} is selected"
-    for dep, constraint in manifest.depends:
-        if dep not in selected and not _candidate_versions(
-            repo, req.toolchain, req.include_dev, req.overrides, dep
-        ):
+    for dep, _ in manifest.depends:
+        if dep not in selected and not candidates(dep):
             return f"requires {dep}, which has no version for toolchain {req.toolchain}"
     return "cannot be added without breaking the current selection"
 
@@ -383,10 +427,14 @@ class _CandidateTable:
                     blocked[other].add(c)
         self.blocked = [frozenset(b) for b in blocked]
 
-    def candidates(self, req: SelectionRequest) -> dict[str, tuple[int, ...]]:
+    def fits(self, toolchain: Version) -> list[bool]:
+        """Whether each constraint of ``toolchains`` admits the toolchain."""
+        return [satisfies(toolchain, constraint) for constraint in self.toolchains]
+
+    def candidates(self, req: SelectionRequest, fits: list[bool]) -> dict[str, tuple[int, ...]]:
         """Each package's selectable ids for a request, newest first: the
-        toolchain and dev filters, or the override's one pinned version."""
-        fits = [satisfies(req.toolchain, constraint) for constraint in self.toolchains]
+        toolchain filter (``fits``, from ``self.fits(req.toolchain)``) and
+        the dev filter, or the override's one pinned version."""
         admitted = [
             fits[k] and (req.include_dev or not dev) for k, dev in zip(self.toolchain_of, self.dev)
         ]
@@ -399,8 +447,10 @@ class _CandidateTable:
 class _SearchSpace:
     """One request's view of its repository's candidate table.
 
-    ``ids[name]`` holds the package's candidates, newest first: the ids the
-    request admits, less those pruned by ``_prune_unmeetable``.
+    ``filtered[name]`` holds the ids the request admits, newest first, and
+    ``ids[name]`` the package's candidates: those less the ones pruned by
+    ``_prune_unmeetable``.  ``fits`` is the table's toolchain filter for
+    the request's toolchain.
     ``versions``, ``requires`` and ``blocked`` are the table's, except that
     an override's id maps to the override's own version.  ``blocked[c]``
     may hold ids that are not candidates; the search reads it only for
@@ -412,8 +462,10 @@ class _SearchSpace:
     def __init__(self, repo: Repository, req: SelectionRequest):
         if repo.search_table is None:
             repo.search_table = _CandidateTable(repo)
-        table = repo.search_table
-        self.ids = table.candidates(req)
+        table = self.table = repo.search_table
+        self.fits = table.fits(req.toolchain)
+        self.filtered = table.candidates(req, self.fits)
+        self.ids = dict(self.filtered)
         self.versions = table.versions
         if req.overrides:
             self.versions = list(table.versions)
@@ -430,6 +482,14 @@ class _SearchSpace:
         # optionals that can never be selected are dropped from branching;
         # they contribute nothing to any selection's optional count
         self.live_optionals = tuple(o for o in sorted(req.optional) if self.ids[o])
+
+    def candidate_versions(self, name: str) -> tuple[Version, ...]:
+        """The versions the request's filter admits, newest first, unpruned."""
+        return tuple(self.versions[c] for c in self.filtered[name])
+
+    def supported(self, name: str) -> bool:
+        """Whether any version of the package admits the request's toolchain."""
+        return any(self.fits[self.table.toolchain_of[c]] for c in self.table.ids[name])
 
     def _prune_unmeetable(self, table: _CandidateTable) -> None:
         """Arc consistency over dependency edges: drop candidates with a
@@ -458,21 +518,24 @@ _ABSENT = -1  # the value that leaves a package out of the selection
 _IN = -2  # an optional's first value: the package must be selected
 
 
-@dataclass(slots=True)
 class _ChoicePoint:
     """One level of the search stack: a package and the values left to try.
 
     ``cause`` is the level that put an included optional in (None for any
-    other package); ``conflicts`` collects the levels that refuted the
+    other package); ``next`` indexes the next value to try and ``value`` is
+    the one tried now; ``conflicts`` collects the levels that refuted the
     values tried so far.
     """
 
-    name: str
-    values: tuple[int, ...]
-    cause: int | None = None
-    next: int = 0
-    value: int | None = None
-    conflicts: set[int] = field(default_factory=set)
+    __slots__ = ("name", "values", "cause", "next", "value", "conflicts")
+
+    def __init__(self, name: str, values: tuple[int, ...], cause: int | None = None):
+        self.name = name
+        self.values = values
+        self.cause = cause
+        self.next = 0
+        self.value = None
+        self.conflicts = set()
 
 
 def _closure(names, successors) -> set[str]:
@@ -664,7 +727,7 @@ def resolve_pick(repo: Repository, req: SelectionRequest) -> Pick | UnsatReport:
         return _unsat_report(
             repo, req, lambda subset: _search(space, subset, ()) is not None
         )
-    return _build_pick(repo, req, best)
+    return _build_pick(repo, req, best, space.candidate_versions, space.supported)
 
 
 # --- exhaustive reference implementation ---------------------------------------
@@ -730,7 +793,17 @@ def enumerate_best(
             )
 
         return _unsat_report(repo, req, sat)
-    return _build_pick(repo, req, best)
+
+    def candidates(name: str) -> tuple[Version, ...]:
+        return _candidate_versions(repo, req.toolchain, req.include_dev, req.overrides, name)
+
+    def supported(name: str) -> bool:
+        return any(
+            satisfies(req.toolchain, manifest.toolchain)
+            for manifest in repo.packages[name].values()
+        )
+
+    return _build_pick(repo, req, best, candidates, supported)
 
 
 def _enum_feasible(

@@ -16,13 +16,14 @@ on equal numeric parts a version without a suffix is greater than one with
 a suffix, and suffixes compare lexicographically.  Leading zeros are
 rejected so that parse/render round-trips byte-exactly.
 
-All values here are immutable and all functions are pure.
+Constraints and calendar versions are immutable tuples.  A Version's
+fields are never reassigned after construction, since its comparison key
+is computed once from them.  All functions are pure.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PickforgeError
 
@@ -43,21 +44,29 @@ class ParseError(PickforgeError):
         super().__init__(f"{reason} at offset {offset} in {text!r}")
 
 
-@functools.total_ordering
-@dataclass(frozen=True, eq=False)
 class Version:
-    """A dotted numeric version with an optional prerelease suffix."""
+    """A dotted numeric version with an optional prerelease suffix.
 
-    segments: tuple[int, ...]
-    suffix: str | None = None
+    ``_key`` is computed once: the segments without trailing zeros (at least
+    one kept), whether there is no suffix, and the suffix or "".  Trimmed
+    tuples order exactly as zero-padded ones do, and True sorts above False,
+    so comparing keys is the version order and a plain release outranks any
+    suffixed prerelease.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.segments or any(s < 0 for s in self.segments):
+    __slots__ = ("segments", "suffix", "_key")
+
+    def __init__(self, segments: tuple[int, ...], suffix: str | None = None):
+        if not segments or any(s < 0 for s in segments):
             raise ValueError("segments must be non-empty and non-negative")
-        if self.suffix is not None and (
-            not self.suffix or not set(self.suffix) <= _TAG_CHARS
-        ):
-            raise ValueError(f"invalid suffix {self.suffix!r}")
+        if suffix is not None and (not suffix or not set(suffix) <= _TAG_CHARS):
+            raise ValueError(f"invalid suffix {suffix!r}")
+        self.segments = segments
+        self.suffix = suffix
+        end = len(segments)
+        while end > 1 and segments[end - 1] == 0:
+            end -= 1
+        self._key = (segments[:end], suffix is None, suffix or "")
 
     @property
     def major(self) -> int:
@@ -67,35 +76,33 @@ class Version:
         text = ".".join(str(s) for s in self.segments)
         return text if self.suffix is None else f"{text}-{self.suffix}"
 
+    def __repr__(self) -> str:
+        return f"Version(segments={self.segments!r}, suffix={self.suffix!r})"
+
     def _cmp(self, other: Version) -> int:
-        for i in range(max(len(self.segments), len(other.segments))):
-            a = self.segments[i] if i < len(self.segments) else 0
-            b = other.segments[i] if i < len(other.segments) else 0
-            if a != b:
-                return LT if a < b else GT
-        if self.suffix == other.suffix:
-            return EQ
-        # a plain release outranks any suffixed prerelease
-        if self.suffix is None:
-            return GT
-        if other.suffix is None:
-            return LT
-        return LT if self.suffix < other.suffix else GT
+        a, b = self._key, other._key
+        return EQ if a == b else LT if a < b else GT
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        return self._cmp(other) == EQ
+        return self._key == other._key
 
     def __lt__(self, other: Version) -> bool:
-        return self._cmp(other) == LT
+        return self._key < other._key
+
+    def __le__(self, other: Version) -> bool:
+        return self._key <= other._key
+
+    def __gt__(self, other: Version) -> bool:
+        return self._key > other._key
+
+    def __ge__(self, other: Version) -> bool:
+        return self._key >= other._key
 
     def __hash__(self) -> int:
         # "1.0" == "1.0.0", so hash ignores trailing zero segments
-        trimmed = list(self.segments)
-        while len(trimmed) > 1 and trimmed[-1] == 0:
-            trimmed.pop()
-        return hash((tuple(trimmed), self.suffix))
+        return hash((self._key[0], self.suffix))
 
 
 def compare_versions(a: Version, b: Version) -> int:
@@ -142,14 +149,14 @@ def _scan_version(text: str, pos: int) -> tuple[Version, int]:
     return Version(tuple(segments), suffix), pos
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", "clauses")):
     """Disjunction of clauses; each clause is a conjunction of (op, version) atoms.
 
-    The universal constraint is the single empty clause and renders as "*".
+    ``clauses: tuple[tuple[tuple[str, Version], ...], ...]``.  The universal
+    constraint is the single empty clause and renders as "*".
     """
 
-    clauses: tuple[tuple[tuple[str, Version], ...], ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.clauses == ((),):
@@ -232,21 +239,22 @@ def satisfies(version: Version, constraint: Constraint) -> bool:
     )
 
 
-@dataclass(frozen=True, order=True)
-class CalendarVersion:
-    """A calendar-based release identifier, rendered as YYYY.MM.P."""
+class CalendarVersion(namedtuple("CalendarVersion", "year month patch")):
+    """A calendar-based release identifier, rendered as YYYY.MM.P.
 
-    year: int
-    month: int
-    patch: int
+    Ordered as the tuple (year, month, patch).
+    """
 
-    def __post_init__(self) -> None:
-        if self.year < 2000:
-            raise ValueError(f"year {self.year} before 2000")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month {self.month} outside 1-12")
-        if self.patch < 0:
+    __slots__ = ()
+
+    def __new__(cls, year: int, month: int, patch: int):
+        if year < 2000:
+            raise ValueError(f"year {year} before 2000")
+        if not 1 <= month <= 12:
+            raise ValueError(f"month {month} outside 1-12")
+        if patch < 0:
             raise ValueError("negative patch")
+        return super().__new__(cls, year, month, patch)
 
     def __str__(self) -> str:
         return f"{self.year:04d}.{self.month:02d}.{self.patch}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -75,6 +77,40 @@ def loaded_after(*ops: list[str]) -> tuple[list[int], set[str]]:
     return result["codes"], set(result["loaded"])
 
 
+# ``dataclasses`` and the modules it loads to generate record classes at
+# import; records are built without them, so no op should pay for them
+CODEGEN_MODULES = {"dataclasses", "inspect", "ast", "dis"}
+
+# every subcommand, with the exit code its run here must end with
+OPS = {
+    "resolve": (["resolve", "--index", "{platform}", "--toolchain", "8.15", "--format", "json"], 0),
+    "release": (["release", "--index", "{platform}", "--version", "2022.02.0",
+                 "--output", "{tmp}/out.lock.json"], 0),
+    "diff": (["diff", "--lockfile", "{platform_lock}", "--from", "8.13", "--to", "8.15"], 0),
+    "upgrade": (["upgrade", "--lockfile", "{platform_lock}", "--from", "8.12", "--to", "8.15"], 0),
+    "coordinate": (["coordinate", "--index", "{platform}", "--rc", "8.15",
+                    "--reference", "{platform_lock}", "--reference-toolchain", "8.14"], 0),
+    "policy": (["policy", "--index", "{platform}"], 1),
+    "script": (["script", "--index", "{smoke}", "--lockfile", "{smoke_lock}"], 0),
+    "smoke": (["smoke", "--index", "{smoke}", "--lockfile", "{smoke_lock}",
+               "--sandbox", "{tmp}/box", "--jobs", "2"], 1),
+}
+
+
+@pytest.fixture(scope="module")
+def lockfiles(tmp_path_factory):
+    from pickforge import cli
+
+    root = tmp_path_factory.mktemp("locks")
+    paths = {"platform_lock": root / "platform.lock.json", "smoke_lock": root / "smoke.lock.json"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for index, lock in ((PLATFORM_FIXTURE, "platform_lock"), (SMOKE_FIXTURE, "smoke_lock")):
+            argv = ["release", "--index", str(index), "--version", "2022.01.0",
+                    "--output", str(paths[lock])]
+            assert cli.main(argv) == 0
+    return paths
+
+
 class TestImportBudget:
     def test_unsat_resolve_loads_no_release_policy_or_buildrun(self):
         codes, loaded = loaded_after(
@@ -110,3 +146,11 @@ class TestImportBudget:
         assert codes == [0, 0]
         assert "pickforge.buildrun" in loaded
         assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_no_op_loads_record_code_generation(self, op, lockfiles, tmp_path):
+        template, expected_code = OPS[op]
+        values = dict(lockfiles, platform=PLATFORM_FIXTURE, smoke=SMOKE_FIXTURE, tmp=tmp_path)
+        codes, loaded = loaded_after([arg.format(**values) for arg in template])
+        assert codes == [expected_code]
+        assert not loaded & CODEGEN_MODULES

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from pickforge.release import (
     upgrade_path,
     write_lockfile,
 )
-from pickforge.solver import Pick
+from pickforge.solver import Pick, UnsatReport
 from pickforge.versioning import parse_calendar_version, parse_version
 
 from strategies import picks as pick_strategy
@@ -32,6 +33,28 @@ def pick(toolchain: str, **selected: str) -> Pick:
         toolchain=V(toolchain),
         selected={name: V(text) for name, text in selected.items()},
     )
+
+
+class TestRecordEquality:
+    def test_picks_compare_by_value(self):
+        a = pick("8.15", x="1.0")
+        a.excluded["y"] = "no version supports toolchain 8.15"
+        b = Pick(V("8.15.0"), {"x": V("1.0.0")}, {"y": "no version supports toolchain 8.15"})
+        assert a == b and not a != b
+        assert a != pick("8.15", x="1.1")
+        assert a != Pick(V("8.15"), dict(a.selected))
+        assert a != UnsatReport((), ())
+        assert a != SimpleNamespace(toolchain=a.toolchain, selected=a.selected, excluded=a.excluded)
+
+    def test_releases_compare_by_value(self):
+        a = Release(CV("2022.01.0"), [pick("8.15", x="1.0")])
+        b = Release(CV("2022.01.0"), [pick("8.15", x="1.0")], predecessor=None)
+        assert a == b and not a != b
+        assert a != Release(CV("2022.01.1"), [pick("8.15", x="1.0")])
+        assert a != Release(CV("2022.01.0"), [pick("8.15", x="1.1")])
+        assert a != Release(CV("2022.01.0"), a.picks, predecessor=CV("2021.09.0"))
+        assert a != a.picks[0]
+        assert a != SimpleNamespace(version=a.version, picks=a.picks, predecessor=None)
 
 
 class TestAssembleRelease:

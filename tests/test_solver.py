@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from conftest import make_repo, mf
+from conftest import PLATFORM_FIXTURE, make_repo, mf
 from pickforge import solver
 from pickforge.index import (
     Repository,
     UnknownPackageError,
     compatible_versions,
+    load_repository,
     validate_repository,
 )
 from pickforge.solver import (
@@ -52,6 +53,28 @@ class TestSelectionRequest:
             SelectionRequest(
                 toolchain=V("8.15"), mandatory={"a"}, overrides={"b": V("1.0")}
             )
+
+    def test_sets_become_frozensets_and_overrides_a_copy(self):
+        overrides = {"a": V("1.0")}
+        req = SelectionRequest(
+            toolchain=V("8.15"), mandatory=["a", "a"], optional={"b"}, overrides=overrides
+        )
+        assert type(req.mandatory) is frozenset and req.mandatory == {"a"}
+        assert type(req.optional) is frozenset and req.optional == {"b"}
+        overrides["b"] = V("2.0")
+        assert req.overrides == {"a": V("1.0")}
+        assert SelectionRequest(toolchain=V("8.15")).overrides == {}
+
+
+def test_resolving_leaves_the_repository_equal_to_a_fresh_load():
+    # the cached candidate table is not part of a repository's value
+    repo = load_repository(PLATFORM_FIXTURE)
+    before = repr(repo)
+    for toolchain in repo.toolchains:
+        resolve_pick(repo, SelectionRequest(toolchain=toolchain, optional=set(repo.packages)))
+    assert repo.search_table is not None
+    assert repo == load_repository(PLATFORM_FIXTURE)
+    assert repr(repo) == before
 
 
 class TestResolvePick:
@@ -708,12 +731,20 @@ def test_later_toolchains_reuse_the_candidate_table(monkeypatch):
 
 
 def test_request_candidates_match_compatible_versions(platform_repo):
-    # _exclusion_reason reads _candidate_versions, so it must see the
-    # candidates the search saw
+    # _exclusion_reason reads these candidates under resolve_pick and
+    # _candidate_versions under enumerate_best, so the two must agree
     table = solver._CandidateTable(platform_repo)
     for toolchain in platform_repo.toolchains:
+        fits = table.fits(toolchain)
+        space = solver._SearchSpace(platform_repo, SelectionRequest(toolchain=toolchain))
+        for name, manifests in platform_repo.packages.items():
+            assert space.supported(name) == any(
+                solver.satisfies(toolchain, manifest.toolchain) for manifest in manifests.values()
+            )
         for include_dev in (False, True):
-            ids = table.candidates(SelectionRequest(toolchain=toolchain, include_dev=include_dev))
+            ids = table.candidates(
+                SelectionRequest(toolchain=toolchain, include_dev=include_dev), fits
+            )
             for name in platform_repo.packages:
                 got = [table.versions[c] for c in ids[name]]
                 assert got == compatible_versions(platform_repo, name, toolchain, include_dev)
@@ -725,7 +756,8 @@ def test_request_candidates_match_compatible_versions(platform_repo):
                             optional={name},
                             overrides=overrides,
                             include_dev=include_dev,
-                        )
+                        ),
+                        fits,
                     )
                     assert [table.versions[c] for c in pinned[name]] == list(
                         solver._candidate_versions(

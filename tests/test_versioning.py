@@ -101,6 +101,47 @@ class TestCompareVersions:
         assert (a == b) == (compare_versions(a, b) == EQ)
 
 
+def padded_cmp(a: Version, b: Version) -> int:
+    """The documented order, written out: zero-pad the shorter segment list;
+    on equal numbers a plain release outranks a suffix, and suffixes compare
+    as strings."""
+    width = max(len(a.segments), len(b.segments))
+    x = a.segments + (0,) * (width - len(a.segments))
+    y = b.segments + (0,) * (width - len(b.segments))
+    if x != y:
+        return LT if x < y else GT
+    if a.suffix == b.suffix:
+        return EQ
+    if a.suffix is None or b.suffix is None:
+        return GT if a.suffix is None else LT
+    return LT if a.suffix < b.suffix else GT
+
+
+# few distinct segments and suffixes, so padded ties and suffix ties are common
+close_versions = st.builds(
+    Version,
+    segments=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4).map(tuple),
+    suffix=st.sampled_from([None, "a", "b", "rc1"]),
+)
+
+
+class TestCompareAgainstPaddedReference:
+    @given(close_versions, close_versions)
+    def test_close_versions(self, a, b):
+        expected = padded_cmp(a, b)
+        assert compare_versions(a, b) == expected
+        assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
+            expected == LT, expected != GT, expected == EQ,
+            expected != EQ, expected != LT, expected == GT,
+        )
+        if expected == EQ:
+            assert hash(a) == hash(b)
+
+    @given(versions, versions)
+    def test_any_versions(self, a, b):
+        assert compare_versions(a, b) == padded_cmp(a, b)
+
+
 class TestParseConstraint:
     def test_clause(self):
         c = parse_constraint(">=8.13, <8.15")
