@@ -12,6 +12,7 @@ resolution, 3 I/O or data errors, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -135,7 +136,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` as a program: ``python -m pickforge.cli`` or ``pickforge``.
+
+    A run makes almost no reference cycles, so the cyclic collector is off
+    while it runs, and the heap is frozen on every way out, usage errors
+    included.  Then no collection walks the modules and the loaded index,
+    during the run or at interpreter exit.  ``main`` and the library leave
+    the collector alone, since their callers may run many ops in one
+    process.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 def _emit_json(payload) -> None:

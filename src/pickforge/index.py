@@ -11,6 +11,10 @@ directory listings; local loads fall back to scanning the directory when
 it is absent.  HTTP sources are mirrored into a cache directory keyed by
 the content digest of ``index.json``; reloading an unchanged index is
 served entirely from the cache.
+
+Every index file is read whole, without blocking, and must be a regular
+file of at most ``FETCH_MAX_BYTES``, the cap an HTTP body has.  A FIFO, a
+device or a larger file fails the load with a RepositoryError naming it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import os
 import re
 from collections import namedtuple
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 
 from .errors import PickforgeError
 from .versioning import (
@@ -36,8 +41,13 @@ CACHE_ENV_VAR = "PICKFORGE_CACHE"
 
 # seconds an HTTP source may stall one request before the load fails
 FETCH_TIMEOUT_S = 30
-# largest body one request may return; a longer one fails the load
+# largest body one request may return, and largest index file a load
+# reads; a longer one fails the load
 FETCH_MAX_BYTES = 16 * 2**20
+# bytes asked of one os.read when reading an index file
+_READ_CHUNK = 2**16
+# a FIFO opened without O_NONBLOCK blocks until some process writes to it
+_READ_FLAGS = os.O_RDONLY | os.O_NONBLOCK
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
@@ -157,23 +167,28 @@ def validate_repository(repo: Repository) -> list[ValidationIssue]:
 def _manifest_issues(
     repo: Repository, name: str, version: Version, manifest: PackageManifest
 ) -> list[ValidationIssue]:
+    # each message formats its own "{name} {version}" label, since nearly
+    # every manifest reports no issue at all
     issues = []
-    label = f"{name} {version}"
     if manifest.name != name or compare_versions(manifest.version, version) != 0:
         issues.append(
             ValidationIssue(
                 KEY_MISMATCH,
                 name,
-                f"keyed as {label} but declares {manifest.name} {manifest.version}",
+                f"keyed as {name} {version} but declares {manifest.name} {manifest.version}",
             )
         )
     seen_deps: set[str] = set()
     for target, _ in manifest.depends:
         if target == name:
-            issues.append(ValidationIssue(SELF_DEPENDENCY, name, f"{label} depends on itself"))
+            issues.append(
+                ValidationIssue(SELF_DEPENDENCY, name, f"{name} {version} depends on itself")
+            )
         if target in seen_deps:
             issues.append(
-                ValidationIssue(DUPLICATE_DEPENDENCY, name, f"{label} lists {target} twice")
+                ValidationIssue(
+                    DUPLICATE_DEPENDENCY, name, f"{name} {version} lists {target} twice"
+                )
             )
         seen_deps.add(target)
         if target != name and target not in repo.packages:
@@ -181,16 +196,18 @@ def _manifest_issues(
                 ValidationIssue(
                     DANGLING_DEPENDENCY,
                     name,
-                    f"{label} depends on absent package {target}",
+                    f"{name} {version} depends on absent package {target}",
                 )
             )
     seen_conflicts: set[str] = set()
     for target, _ in manifest.conflicts:
         if target == name:
-            issues.append(ValidationIssue(SELF_CONFLICT, name, f"{label} conflicts with itself"))
+            issues.append(
+                ValidationIssue(SELF_CONFLICT, name, f"{name} {version} conflicts with itself")
+            )
         if target in seen_conflicts:
             issues.append(
-                ValidationIssue(DUPLICATE_CONFLICT, name, f"{label} lists {target} twice")
+                ValidationIssue(DUPLICATE_CONFLICT, name, f"{name} {version} lists {target} twice")
             )
         seen_conflicts.add(target)
         if target != name and target not in repo.packages:
@@ -198,12 +215,14 @@ def _manifest_issues(
                 ValidationIssue(
                     DANGLING_CONFLICT,
                     name,
-                    f"{label} conflicts with absent package {target}",
+                    f"{name} {version} conflicts with absent package {target}",
                 )
             )
     if manifest.dev and not manifest.source_ref:
         issues.append(
-            ValidationIssue(MISSING_SOURCE_REF, name, f"{label} is a dev snapshot without source_ref")
+            ValidationIssue(
+                MISSING_SOURCE_REF, name, f"{name} {version} is a dev snapshot without source_ref"
+            )
         )
     return issues
 
@@ -345,27 +364,55 @@ def _load_local(root: str) -> Repository:
     toolchains_raw = index["toolchains"]
     if not isinstance(toolchains_raw, list) or not all(isinstance(t, str) for t in toolchains_raw):
         raise RepositoryError(f"{index_path}: field 'toolchains' must be a list of versions")
+    # version and constraint texts repeat across manifests, so each is
+    # parsed once per load; a failed parse is not cached, so each error
+    # names its own file
+    versions = functools.cache(parse_version)
+    constraints = functools.cache(parse_constraint)
     toolchains = tuple(
-        _parse_field(t, parse_version, index_path, f"toolchains[{i}]")
+        _parse_field(t, versions, index_path, "toolchains", i)
         for i, t in enumerate(toolchains_raw)
     )
-    # constraint texts repeat across manifests, so each is parsed once per
-    # load; a failed parse is not cached, so each error names its own file
-    parse = functools.cache(parse_constraint)
     packages: dict[str, dict[Version, PackageManifest]] = {}
     for name in names:
         if name in packages:
             raise RepositoryError(f"{index_path}: duplicate package name {name!r}")
-        packages[name] = _load_package_dir(os.path.join(root, "packages", name), name, parse)
+        packages[name] = _load_package_dir(
+            os.path.join(root, "packages", name), name, versions, constraints
+        )
     return Repository(toolchains=toolchains, packages=packages)
 
 
 def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
+    """The contents of the regular file at ``path``.
+
+    Raises OSError as ``open`` would, IsADirectoryError for a directory
+    included.  Any other file that is not a regular one, such as a FIFO or
+    a device, and a file over FETCH_MAX_BYTES raise RepositoryError.  The
+    file is opened without blocking, so a FIFO cannot stall the load.
+    """
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        mode = os.fstat(fd).st_mode
+        # a directory is left to os.read, which raises IsADirectoryError
+        if not S_ISREG(mode) and not S_ISDIR(mode):
+            raise RepositoryError(f"{path}: not a regular file")
+        chunks = []
+        size = 0
+        while chunk := os.read(fd, _READ_CHUNK):
+            size += len(chunk)
+            if size > FETCH_MAX_BYTES:
+                raise RepositoryError(f"{path} exceeds {FETCH_MAX_BYTES} bytes")
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
-def _load_package_dir(pkg_dir: str, name: str, parse) -> dict[Version, PackageManifest]:
+def _load_package_dir(
+    pkg_dir: str, name: str, versions, constraints
+) -> dict[Version, PackageManifest]:
+    """``versions`` and ``constraints`` are the load's memoised parsers."""
     listing = os.path.join(pkg_dir, "versions.json")
     try:
         listed = _parse_json(_read_bytes(listing), listing)
@@ -381,7 +428,7 @@ def _load_package_dir(pkg_dir: str, name: str, parse) -> dict[Version, PackageMa
         if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
             raise RepositoryError(f"{listing}: expected a list of version strings")
         stems = listed
-    versions: dict[Version, PackageManifest] = {}
+    manifests: dict[Version, PackageManifest] = {}
     for stem in stems:
         path = os.path.join(pkg_dir, f"{stem}.json")
         try:
@@ -390,17 +437,17 @@ def _load_package_dir(pkg_dir: str, name: str, parse) -> dict[Version, PackageMa
             raise RepositoryError(
                 f"{listing}: listed version {stem!r} has no manifest file"
             ) from None
-        manifest = _read_manifest(data, path, parse)
+        manifest = _read_manifest(data, path, versions, constraints)
         if manifest.name != name:
             raise RepositoryError(f"{path}: field 'name' is {manifest.name!r}, expected {name!r}")
         if str(manifest.version) != stem:
             raise RepositoryError(
                 f"{path}: field 'version' is {manifest.version}, expected {stem!r}"
             )
-        if manifest.version in versions:
+        if manifest.version in manifests:
             raise RepositoryError(f"{path}: duplicate version {manifest.version}")
-        versions[manifest.version] = manifest
-    return versions
+        manifests[manifest.version] = manifest
+    return manifests
 
 
 _MANIFEST_FIELDS = {
@@ -418,39 +465,49 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _read_manifest(data: bytes, path: str, parse) -> PackageManifest:
-    """``parse`` turns a constraint text into a Constraint."""
+def _read_manifest(data: bytes, path: str, versions, constraints) -> PackageManifest:
+    """``versions`` and ``constraints`` turn texts into a Version and a Constraint."""
     raw = _parse_json(data, path)
     if not isinstance(raw, dict):
         raise RepositoryError(f"{path}: expected an object")
-    for key in _MANIFEST_FIELDS:
-        if key not in raw:
-            raise RepositoryError(f"{path}: missing field {key!r}")
-    for key in raw:
-        if key not in _MANIFEST_FIELDS:
-            raise RepositoryError(f"{path}: unknown field {key!r}")
+    if raw.keys() != _MANIFEST_FIELDS.keys():
+        raise RepositoryError(f"{path}: {_field_set_error(raw)}")
     for key, expected in _MANIFEST_FIELDS.items():
         if not isinstance(raw[key], expected):
             raise RepositoryError(f"{path}: field {key!r} has the wrong type")
+    depends = raw["depends"]
+    conflicts = raw["conflicts"]
     return PackageManifest(
-        name=raw["name"],
-        version=_parse_field(raw["version"], parse_version, path, "version"),
-        toolchain=_parse_field(raw["toolchain"], parse, path, "toolchain"),
-        depends=_parse_edges(raw["depends"], parse, path, "depends"),
-        conflicts=_parse_edges(raw["conflicts"], parse, path, "conflicts"),
-        dev=raw["dev"],
-        source_ref=raw["source_ref"],
-        deprecated=raw["deprecated"],
-        maintainer=raw["maintainer"],
-        build_cmd=raw["build_cmd"],
-        smoke_cmd=raw["smoke_cmd"],
+        raw["name"],
+        _parse_field(raw["version"], versions, path, "version"),
+        _parse_field(raw["toolchain"], constraints, path, "toolchain"),
+        _parse_edges(depends, constraints, path, "depends") if depends else (),
+        _parse_edges(conflicts, constraints, path, "conflicts") if conflicts else (),
+        raw["dev"],
+        raw["source_ref"],
+        raw["deprecated"],
+        raw["maintainer"],
+        raw["build_cmd"],
+        raw["smoke_cmd"],
     )
 
 
-def _parse_field(text: str, parser, context: str, fieldname: str):
+def _field_set_error(raw: dict) -> str:
+    """Why a manifest's keys are not the field set: the first missing field
+    in field order, or else the first unknown field in file order."""
+    for key in _MANIFEST_FIELDS:
+        if key not in raw:
+            return f"missing field {key!r}"
+    return next(f"unknown field {key!r}" for key in raw if key not in _MANIFEST_FIELDS)
+
+
+def _parse_field(text: str, parser, context: str, fieldname: str, index: int | None = None):
+    """``index`` is the position of ``text`` in a list field; the error names it."""
     try:
         return parser(text)
     except PickforgeError as exc:
+        if index is not None:
+            fieldname = f"{fieldname}[{index}]"
         raise RepositoryError(f"{context}: field {fieldname!r}: {exc}") from exc
 
 
@@ -459,15 +516,15 @@ def _parse_edges(
 ) -> tuple[tuple[str, Constraint], ...]:
     edges = []
     for i, entry in enumerate(raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(part, str) for part in entry)
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
         ):
             raise RepositoryError(
                 f"{context}: field {fieldname!r}[{i}] must be a [name, constraint] pair"
             )
         target, constraint_text = entry
-        constraint = _parse_field(constraint_text, parse, context, f"{fieldname}[{i}]")
-        edges.append((target, constraint))
+        edges.append((target, _parse_field(constraint_text, parse, context, fieldname, i)))
     return tuple(edges)

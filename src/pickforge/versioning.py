@@ -18,7 +18,7 @@ rejected so that parse/render round-trips byte-exactly.
 
 Constraints and calendar versions are immutable tuples.  A Version's
 fields are never reassigned after construction, since its comparison key
-is computed once from them.  All functions are pure.
+and its rendering are computed once from them.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ class Version:
     one kept), whether there is no suffix, and the suffix or "".  Trimmed
     tuples order exactly as zero-padded ones do, and True sorts above False,
     so comparing keys is the version order and a plain release outranks any
-    suffixed prerelease.
+    suffixed prerelease.  ``_text`` is the rendering, also computed once;
+    for a parsed version it is the parsed text.
     """
 
-    __slots__ = ("segments", "suffix", "_key")
+    __slots__ = ("segments", "suffix", "_key", "_text")
 
     def __init__(self, segments: tuple[int, ...], suffix: str | None = None):
         if not segments or any(s < 0 for s in segments):
@@ -67,14 +68,15 @@ class Version:
         while end > 1 and segments[end - 1] == 0:
             end -= 1
         self._key = (segments[:end], suffix is None, suffix or "")
+        text = ".".join(map(str, segments))
+        self._text = text if suffix is None else f"{text}-{suffix}"
 
     @property
     def major(self) -> int:
         return self.segments[0]
 
     def __str__(self) -> str:
-        text = ".".join(str(s) for s in self.segments)
-        return text if self.suffix is None else f"{text}-{self.suffix}"
+        return self._text
 
     def __repr__(self) -> str:
         return f"Version(segments={self.segments!r}, suffix={self.suffix!r})"

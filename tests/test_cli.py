@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from conftest import (
     raw_manifest,
     write_fixture,
 )
+from pickforge import cli
 from pickforge.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_UNSAT, EXIT_USAGE, main
 
 
@@ -399,6 +401,67 @@ class TestEntrypoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["selected"]
+
+
+class TestGcPolicy:
+    """Only the program path turns the cyclic collector off and freezes the
+    heap; ``main`` leaves both as its caller had them."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        yield
+        gc.enable()
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15"], EXIT_OK),
+            (["resolve", "--index", str(PLATFORM_FIXTURE)], EXIT_USAGE),
+        ],
+        ids=["resolve", "usage-error"],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(self, argv, code, enabled, capsys):
+        if not enabled:
+            gc.disable()
+        frozen = gc.get_freeze_count()
+        try:
+            result = main(argv)
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("usage_error", [False, True])
+    def test_entrypoint_runs_main_without_collector_and_exits_frozen(
+        self, usage_error, monkeypatch
+    ):
+        seen = {}
+
+        def fake_main():
+            seen["enabled"] = gc.isenabled()
+            seen["frozen"] = gc.get_freeze_count()
+            if usage_error:
+                raise SystemExit(EXIT_USAGE)
+            return EXIT_UNSAT
+
+        def fake_exit(code):
+            seen["exit"] = code
+            raise SystemExit(code)
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(sys, "exit", fake_exit)
+        gc.enable()
+        gc.unfreeze()
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == (EXIT_USAGE if usage_error else EXIT_UNSAT)
+        assert seen["enabled"] is False
+        assert seen["frozen"] == 0
+        assert gc.get_freeze_count() > 0
+        assert seen.get("exit") == (None if usage_error else EXIT_UNSAT)
 
 
 class TestJsonGoldens:

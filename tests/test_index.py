@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from conftest import PLATFORM_FIXTURE, make_repo, mf, raw_manifest, write_fixture
+from conftest import PLATFORM_FIXTURE, REPO_ROOT, make_repo, mf, raw_manifest, write_fixture
 from pickforge import index
 from pickforge.cli import EXIT_IO, main
 from pickforge.index import (
@@ -51,8 +55,9 @@ class TestLoadLocal:
         assert "alpha" in str(exc.value) and "ghost" in str(exc.value)
 
     def test_missing_index(self, tmp_path):
-        with pytest.raises(RepositoryError, match="unreachable"):
+        with pytest.raises(RepositoryError) as exc:
             load_repository(tmp_path / "nope")
+        assert str(exc.value) == f"unreachable source: no index.json under {tmp_path / 'nope'}"
 
     def test_missing_manifest_field(self, tmp_path):
         broken = raw_manifest("alpha", "1.0")
@@ -145,6 +150,158 @@ class TestLoadLocal:
             [raw_manifest("alpha", "1.0"), raw_manifest("beta", "1.0")],
         )
         assert load_repository(tmp_path) == load_repository(tmp_path)
+
+    def test_index_that_is_a_directory(self, tmp_path):
+        (tmp_path / "index.json").mkdir()
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"unreachable source: no index.json under {tmp_path}"
+
+    def test_trailing_slash_on_the_source_names_the_same_paths(self, tmp_path):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        (tmp_path / "index.json").write_text(
+            json.dumps({"toolchains": ["8.15"], "packages": ["alpha", "beta"]})
+        )
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(f"{tmp_path}/")
+        assert str(exc.value) == f"missing package directory {tmp_path / 'packages' / 'beta'}"
+
+    def test_missing_and_unknown_field_reports_the_missing_one(self, tmp_path):
+        broken = raw_manifest("alpha", "1.0", extra=1)
+        del broken["smoke_cmd"]
+        write_fixture(tmp_path, ["8.15"], [broken])
+        path = tmp_path / "packages" / "alpha" / "1.0.json"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"{path}: missing field 'smoke_cmd'"
+
+    def test_first_missing_field_in_field_order(self, tmp_path):
+        broken = raw_manifest("alpha", "1.0")
+        del broken["smoke_cmd"], broken["toolchain"]
+        write_fixture(tmp_path, ["8.15"], [broken])
+        path = tmp_path / "packages" / "alpha" / "1.0.json"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"{path}: missing field 'toolchain'"
+
+    def test_first_unknown_field_in_file_order(self, tmp_path):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0", zeta=1, alpha=2)])
+        path = tmp_path / "packages" / "alpha" / "1.0.json"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"{path}: unknown field 'zeta'"
+
+    def test_wrong_typed_field_text(self, tmp_path):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0", dev="no")])
+        path = tmp_path / "packages" / "alpha" / "1.0.json"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"{path}: field 'dev' has the wrong type"
+
+    def test_manifest_larger_than_one_read_loads_whole(self, tmp_path):
+        # well over the reader's 64 KiB chunk, and not a multiple of it
+        long_text = "x" * (5 * 2**16 + 7)
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0", build_cmd=long_text)])
+        repo = load_repository(tmp_path)
+        assert repo.packages["alpha"][parse_version("1.0")].build_cmd == long_text
+
+    def test_version_differing_from_its_file_stem_text(self, tmp_path):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        path = tmp_path / "packages" / "alpha" / "1.0.json"
+        path.write_text(json.dumps(raw_manifest("alpha", "1.0.0")))
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"{path}: field 'version' is 1.0.0, expected '1.0'"
+
+    def test_equal_version_texts_load_to_equal_versions_rendering_that_text(self, tmp_path):
+        write_fixture(
+            tmp_path,
+            ["1.0.0", "2.0-rc1"],
+            [
+                raw_manifest("alpha", "1.0.0"),
+                raw_manifest("alpha", "2.0-rc1"),
+                raw_manifest("beta", "1.0.0", depends=[["alpha", ">=1.0.0"]]),
+                raw_manifest("beta", "2.0-rc1"),
+                raw_manifest("gamma", "1.0"),
+            ],
+        )
+        repo = load_repository(tmp_path)
+        for text in ("1.0.0", "2.0-rc1"):
+            a, b = (
+                repo.manifest(name, parse_version(text)).version for name in ("alpha", "beta")
+            )
+            assert a == b == parse_version(text)
+            assert str(a) == str(b) == text
+        assert [str(t) for t in repo.toolchains] == ["1.0.0", "2.0-rc1"]
+        (gamma,) = repo.packages["gamma"]
+        assert gamma == parse_version("1.0.0") and str(gamma) == "1.0"
+        (_, bound), = repo.manifest("beta", gamma).depends[0][1].clauses[0]
+        assert str(bound) == "1.0.0"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def _resolve_in_child(index_dir):
+    """Run a resolve on ``index_dir`` through the CLI in a child process with
+    20 s and 1 GiB of address space, so that a load that blocks or reads
+    without end fails the test instead of hanging the suite or filling
+    memory."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pickforge.cli", "resolve", "--index", str(index_dir),
+         "--toolchain", "8.15"],
+        capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+
+
+class TestHostileLocalFiles:
+    """Index files that are not regular files, or too large, end the load
+    with a RepositoryError naming the file, never a hang or a MemoryError."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize(
+        "relpath", ["packages/alpha/1.0.json", "packages/alpha/versions.json", "index.json"]
+    )
+    def test_fifo_fails_the_load_without_blocking(self, tmp_path, relpath):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        fifo = tmp_path / relpath
+        fifo.unlink()
+        os.mkfifo(fifo)
+        proc = _resolve_in_child(tmp_path)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == f"pickforge: error: {fifo}: not a regular file\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_manifest_linked_to_an_endless_device(self, tmp_path):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        manifest = tmp_path / "packages" / "alpha" / "1.0.json"
+        manifest.unlink()
+        manifest.symlink_to("/dev/zero")
+        proc = _resolve_in_child(tmp_path)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == f"pickforge: error: {manifest}: not a regular file\n"
+
+    def test_oversized_local_manifest(self, tmp_path, monkeypatch, capsys):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        manifest = tmp_path / "packages" / "alpha" / "1.0.json"
+        manifest.write_text(manifest.read_text().ljust(2048))  # still valid JSON
+        monkeypatch.setattr(index, "FETCH_MAX_BYTES", 1024)
+        named = f"{manifest} exceeds 1024 bytes"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == named
+        assert main(["resolve", "--index", str(tmp_path), "--toolchain", "8.15"]) == EXIT_IO
+        assert capsys.readouterr().err == f"pickforge: error: {named}\n"
+
+    def test_manifest_at_the_cap_loads(self, tmp_path, monkeypatch):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        manifest = tmp_path / "packages" / "alpha" / "1.0.json"
+        manifest.write_text(manifest.read_text().ljust(1024))
+        monkeypatch.setattr(index, "FETCH_MAX_BYTES", 1024)
+        assert len(load_repository(tmp_path).packages["alpha"]) == 1
 
 
 class TestValidateRepository:

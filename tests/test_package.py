@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -154,3 +155,25 @@ class TestImportBudget:
         codes, loaded = loaded_after([arg.format(**values) for arg in template])
         assert codes == [expected_code]
         assert not loaded & CODEGEN_MODULES
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_program_prints_what_main_prints(self, op, lockfiles, tmp_path):
+        # the program path turns the cyclic collector off and freezes the
+        # heap; none of that may show in what an op prints
+        from pickforge import cli
+
+        template, expected_code = OPS[op]
+        values = dict(lockfiles, platform=PLATFORM_FIXTURE, smoke=SMOKE_FIXTURE, tmp=tmp_path)
+        argv = [arg.format(**values) for arg in template]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pickforge.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        shutil.rmtree(tmp_path / "box", ignore_errors=True)  # smoke wants an empty sandbox
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert proc.returncode == code == expected_code
+        assert proc.stdout == out.getvalue()
+        assert proc.stderr == err.getvalue()
