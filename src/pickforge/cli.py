@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import solver
 from .errors import PickforgeError
-from .index import Repository, load_repository
+from .index import Repository, load_repository, read_file
 from .solver import Pick, SelectionRequest, UnsatReport
 from .versioning import parse_calendar_version, parse_version
 
@@ -162,9 +162,10 @@ def _load_index(args) -> Repository:
 
 
 def _read_lockfile(path: str) -> Release:
+    """The release in the lockfile at ``path``, which may be a pipe: ``<(...)``."""
     from . import release
 
-    return release.read_lockfile(Path(path).read_bytes())
+    return release.read_lockfile(read_file(path, release.LockfileError, pipes=True))
 
 
 def _pick_from_lockfile(path: str, toolchain: str | None) -> tuple[Release, Pick]:

@@ -12,9 +12,11 @@ it is absent.  HTTP sources are mirrored into a cache directory keyed by
 the content digest of ``index.json``; reloading an unchanged index is
 served entirely from the cache.
 
-Every index file is read whole, without blocking, and must be a regular
-file of at most ``FETCH_MAX_BYTES``, the cap an HTTP body has.  A FIFO, a
-device or a larger file fails the load with a RepositoryError naming it.
+Every index file is read whole by ``read_file``, without blocking, and
+must be a regular file of at most ``FETCH_MAX_BYTES``, the cap an HTTP body
+has.  A FIFO, a device or a larger file fails the load with a
+RepositoryError naming it.  ``parse_json`` parses every JSON input, lockfiles
+too: UTF-8 only, and what does not parse raises a named error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import re
 from collections import namedtuple
 from pathlib import Path
-from stat import S_ISDIR, S_ISREG
+from stat import S_ISDIR, S_ISFIFO, S_ISREG
 
 from .errors import PickforgeError
 from .versioning import (
@@ -44,7 +46,7 @@ FETCH_TIMEOUT_S = 30
 # largest body one request may return, and largest index file a load
 # reads; a longer one fails the load
 FETCH_MAX_BYTES = 16 * 2**20
-# bytes asked of one os.read when reading an index file
+# bytes asked of one os.read when reading an input file
 _READ_CHUNK = 2**16
 # a FIFO opened without O_NONBLOCK blocks until some process writes to it
 _READ_FLAGS = os.O_RDONLY | os.O_NONBLOCK
@@ -61,6 +63,12 @@ UNORDERED_TOOLCHAINS = "UnorderedToolchains"
 DANGLING_DEPENDENCY = "DanglingDependency"
 DANGLING_CONFLICT = "DanglingConflict"
 KEY_MISMATCH = "KeyMismatch"
+# per edge list, depends then conflicts: the verb of its messages and the
+# kinds of a self, a duplicate and a dangling edge
+_EDGE_ISSUE_KINDS = (
+    ("depends on", SELF_DEPENDENCY, DUPLICATE_DEPENDENCY, DANGLING_DEPENDENCY),
+    ("conflicts with", SELF_CONFLICT, DUPLICATE_CONFLICT, DANGLING_CONFLICT),
+)
 
 
 class RepositoryError(PickforgeError):
@@ -178,46 +186,24 @@ def _manifest_issues(
                 f"keyed as {name} {version} but declares {manifest.name} {manifest.version}",
             )
         )
-    seen_deps: set[str] = set()
-    for target, _ in manifest.depends:
-        if target == name:
-            issues.append(
-                ValidationIssue(SELF_DEPENDENCY, name, f"{name} {version} depends on itself")
-            )
-        if target in seen_deps:
-            issues.append(
-                ValidationIssue(
-                    DUPLICATE_DEPENDENCY, name, f"{name} {version} lists {target} twice"
+    for edges, (verb, self_kind, duplicate_kind, dangling_kind) in zip(
+        (manifest.depends, manifest.conflicts), _EDGE_ISSUE_KINDS
+    ):
+        seen: set[str] = set()
+        for target, _ in edges:
+            if target == name:
+                issues.append(ValidationIssue(self_kind, name, f"{name} {version} {verb} itself"))
+            if target in seen:
+                issues.append(
+                    ValidationIssue(duplicate_kind, name, f"{name} {version} lists {target} twice")
                 )
-            )
-        seen_deps.add(target)
-        if target != name and target not in repo.packages:
-            issues.append(
-                ValidationIssue(
-                    DANGLING_DEPENDENCY,
-                    name,
-                    f"{name} {version} depends on absent package {target}",
+            seen.add(target)
+            if target != name and target not in repo.packages:
+                issues.append(
+                    ValidationIssue(
+                        dangling_kind, name, f"{name} {version} {verb} absent package {target}"
+                    )
                 )
-            )
-    seen_conflicts: set[str] = set()
-    for target, _ in manifest.conflicts:
-        if target == name:
-            issues.append(
-                ValidationIssue(SELF_CONFLICT, name, f"{name} {version} conflicts with itself")
-            )
-        if target in seen_conflicts:
-            issues.append(
-                ValidationIssue(DUPLICATE_CONFLICT, name, f"{name} {version} lists {target} twice")
-            )
-        seen_conflicts.add(target)
-        if target != name and target not in repo.packages:
-            issues.append(
-                ValidationIssue(
-                    DANGLING_CONFLICT,
-                    name,
-                    f"{name} {version} conflicts with absent package {target}",
-                )
-            )
     if manifest.dev and not manifest.source_ref:
         issues.append(
             ValidationIssue(
@@ -302,16 +288,11 @@ def _mirror_http_source(base_url: str, cache_dir: Path) -> Path:
     staging = Path(tempfile.mkdtemp(prefix=f".{digest}-", dir=cache_dir))
     try:
         (staging / "index.json").write_bytes(index_bytes)
-        index = _parse_json(index_bytes, f"{base_url}/index.json")
+        index = parse_json(index_bytes, f"{base_url}/index.json")
         for name in _index_package_names(index, f"{base_url}/index.json"):
             listing_url = f"{base_url}/packages/{name}/versions.json"
             versions_bytes = _fetch(listing_url)
-            listed = _parse_json(versions_bytes, listing_url)
-            if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
-                raise RepositoryError(f"{listing_url}: expected a list of version strings")
-            # a version that parses is digits, dots and a tag: safe in a path
-            for i, version_text in enumerate(listed):
-                _parse_field(version_text, parse_version, listing_url, f"[{i}]")
+            listed = _version_list(versions_bytes, listing_url, parse_version)
             pkg_dir = staging / "packages" / name
             pkg_dir.mkdir(parents=True)
             (pkg_dir / "versions.json").write_bytes(versions_bytes)
@@ -330,11 +311,30 @@ def _mirror_http_source(base_url: str, cache_dir: Path) -> Path:
     return mirror
 
 
-def _parse_json(data: bytes, context: str):
+def parse_json(data: bytes, context: str, error: type[PickforgeError] = RepositoryError):
+    """The JSON value in the UTF-8 text ``data``.
+
+    Bytes that do not decode, text that does not parse, an integer too long
+    to convert and nesting too deep for the parser all raise ``error`` with
+    a message that starts with ``context``: the file or URL read, or
+    "lockfile".
+    """
     try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise RepositoryError(f"{context}: invalid JSON ({exc})") from exc
+        return json.loads(data.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{context}: invalid JSON ({exc})") from exc
+
+
+def _version_list(data: bytes, context: str, versions) -> list[str]:
+    """The texts a ``versions.json`` lists, each one parsed by ``versions``."""
+    listed = parse_json(data, context)
+    if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
+        raise RepositoryError(f"{context}: expected a list of version strings")
+    # a version that parses is digits, dots and a tag: safe in a path
+    for i, text in enumerate(listed):
+        _parse_field(text, versions, context, f"[{i}]")
+    return listed
 
 
 def _index_package_names(index, context: str) -> list[str]:
@@ -356,10 +356,10 @@ def _index_package_names(index, context: str) -> list[str]:
 def _load_local(root: str) -> Repository:
     index_path = os.path.join(root, "index.json")
     try:
-        index_bytes = _read_bytes(index_path)
+        index_bytes = read_file(index_path)
     except OSError:
         raise RepositoryError(f"unreachable source: no index.json under {root}") from None
-    index = _parse_json(index_bytes, index_path)
+    index = parse_json(index_bytes, index_path)
     names = _index_package_names(index, index_path)
     toolchains_raw = index["toolchains"]
     if not isinstance(toolchains_raw, list) or not all(isinstance(t, str) for t in toolchains_raw):
@@ -383,26 +383,32 @@ def _load_local(root: str) -> Repository:
     return Repository(toolchains=toolchains, packages=packages)
 
 
-def _read_bytes(path: str) -> bytes:
-    """The contents of the regular file at ``path``.
+def read_file(
+    path: str, error: type[PickforgeError] = RepositoryError, pipes: bool = False
+) -> bytes:
+    """The contents of the file at ``path``, at most FETCH_MAX_BYTES.
 
     Raises OSError as ``open`` would, IsADirectoryError for a directory
-    included.  Any other file that is not a regular one, such as a FIFO or
-    a device, and a file over FETCH_MAX_BYTES raise RepositoryError.  The
-    file is opened without blocking, so a FIFO cannot stall the load.
+    included.  The file is opened without blocking, so a FIFO cannot stall
+    the open.  With ``pipes``, a pipe or FIFO is then read, blocking, until
+    its last writer closes it; one that has no writer reads as empty.  Any
+    other file that is not a regular one, such as a device, and a file over
+    FETCH_MAX_BYTES raise ``error`` naming the path.
     """
     fd = os.open(path, _READ_FLAGS)
     try:
         mode = os.fstat(fd).st_mode
+        if pipes and S_ISFIFO(mode):
+            os.set_blocking(fd, True)
         # a directory is left to os.read, which raises IsADirectoryError
-        if not S_ISREG(mode) and not S_ISDIR(mode):
-            raise RepositoryError(f"{path}: not a regular file")
+        elif not S_ISREG(mode) and not S_ISDIR(mode):
+            raise error(f"{path}: not a regular file")
         chunks = []
         size = 0
         while chunk := os.read(fd, _READ_CHUNK):
             size += len(chunk)
             if size > FETCH_MAX_BYTES:
-                raise RepositoryError(f"{path} exceeds {FETCH_MAX_BYTES} bytes")
+                raise error(f"{path} exceeds {FETCH_MAX_BYTES} bytes")
             chunks.append(chunk)
     finally:
         os.close(fd)
@@ -415,7 +421,7 @@ def _load_package_dir(
     """``versions`` and ``constraints`` are the load's memoised parsers."""
     listing = os.path.join(pkg_dir, "versions.json")
     try:
-        listed = _parse_json(_read_bytes(listing), listing)
+        stems = _version_list(read_file(listing), listing, versions)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         if not os.path.isdir(pkg_dir):
             raise RepositoryError(f"missing package directory {pkg_dir}") from None
@@ -424,15 +430,11 @@ def _load_package_dir(
             for entry in os.listdir(pkg_dir)
             if entry.endswith(".json") and entry != "versions.json"
         )
-    else:
-        if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
-            raise RepositoryError(f"{listing}: expected a list of version strings")
-        stems = listed
     manifests: dict[Version, PackageManifest] = {}
     for stem in stems:
         path = os.path.join(pkg_dir, f"{stem}.json")
         try:
-            data = _read_bytes(path)
+            data = read_file(path)
         except OSError:
             raise RepositoryError(
                 f"{listing}: listed version {stem!r} has no manifest file"
@@ -467,7 +469,7 @@ _MANIFEST_FIELDS = {
 
 def _read_manifest(data: bytes, path: str, versions, constraints) -> PackageManifest:
     """``versions`` and ``constraints`` turn texts into a Version and a Constraint."""
-    raw = _parse_json(data, path)
+    raw = parse_json(data, path)
     if not isinstance(raw, dict):
         raise RepositoryError(f"{path}: expected an object")
     if raw.keys() != _MANIFEST_FIELDS.keys():

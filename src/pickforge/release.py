@@ -24,7 +24,7 @@ import json
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Repository
+from .index import Repository, parse_json
 from .solver import Pick
 from .versioning import (
     CalendarVersion,
@@ -255,10 +255,7 @@ def write_lockfile(release: Release) -> bytes:
 
 
 def read_lockfile(data: bytes) -> Release:
-    try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise LockfileError(f"not valid JSON: {exc}") from exc
+    raw = parse_json(data, "lockfile", LockfileError)
     _expect_fields(raw, {"version", "predecessor", "picks"}, "lockfile")
     version = _parse_calver_field(raw["version"], "version")
     predecessor = None

@@ -51,11 +51,11 @@ class Version:
     one kept), whether there is no suffix, and the suffix or "".  Trimmed
     tuples order exactly as zero-padded ones do, and True sorts above False,
     so comparing keys is the version order and a plain release outranks any
-    suffixed prerelease.  ``_text`` is the rendering, also computed once;
-    for a parsed version it is the parsed text.
+    suffixed prerelease.  ``_text`` is the rendering and ``_hash`` the hash,
+    also computed once; for a parsed version ``_text`` is the parsed text.
     """
 
-    __slots__ = ("segments", "suffix", "_key", "_text")
+    __slots__ = ("segments", "suffix", "_key", "_text", "_hash")
 
     def __init__(self, segments: tuple[int, ...], suffix: str | None = None):
         if not segments or any(s < 0 for s in segments):
@@ -68,6 +68,8 @@ class Version:
         while end > 1 and segments[end - 1] == 0:
             end -= 1
         self._key = (segments[:end], suffix is None, suffix or "")
+        # "1.0" == "1.0.0", so the hash ignores trailing zero segments
+        self._hash = hash((self._key[0], suffix))
         text = ".".join(map(str, segments))
         self._text = text if suffix is None else f"{text}-{suffix}"
 
@@ -103,8 +105,7 @@ class Version:
         return self._key >= other._key
 
     def __hash__(self) -> int:
-        # "1.0" == "1.0.0", so hash ignores trailing zero segments
-        return hash((self._key[0], self.suffix))
+        return self._hash
 
 
 def compare_versions(a: Version, b: Version) -> int:

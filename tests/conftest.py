@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
+import resource
+import subprocess
+import sys
 import threading
 from functools import partial
 from pathlib import Path
@@ -95,6 +99,23 @@ def raw_manifest(name, version, **overrides) -> dict:
     }
     base.update(overrides)
     return base
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def cli_in_child(*argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``python -m pickforge.cli *argv`` in a child process with 20 s and
+    1 GiB of address space, so that an op that blocks or reads without end
+    fails the test instead of hanging the suite or filling memory.  Output
+    is text; ``stdin``, if given, is written to the child through a pipe."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pickforge.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=_limit_address_space,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import subprocess
 import sys
 
@@ -11,11 +12,13 @@ from conftest import (
     PLATFORM_FIXTURE,
     RELEASE_UNIVERSE_EXCLUDES,
     SMOKE_FIXTURE,
+    cli_in_child,
     raw_manifest,
     write_fixture,
 )
 from pickforge import cli
 from pickforge.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_UNSAT, EXIT_USAGE, main
+from pickforge.release import LockfileError, read_lockfile
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -236,6 +239,71 @@ class TestDiffAndUpgrade:
             "--from", "8.13", "--to", "8.14",
         )
         assert code == EXIT_IO
+
+
+def lockfile_argv(op: str, path: str, out_dir) -> list[str]:
+    """Argv of a subcommand that reads the lockfile at ``path``; a release
+    writes to ``out_dir``, or to stdout for ``release-stdout``."""
+    release = ["release", "--index", str(PLATFORM_FIXTURE), "--version", "2022.04.0",
+               "--previous", path, "--output"]
+    return {
+        "diff": ["diff", "--lockfile", path, "--from", "8.13", "--to", "8.15"],
+        "release": [*release, str(out_dir / "out.lock.json")],
+        "release-stdout": [*release, "-"],
+        "coordinate": ["coordinate", "--index", str(PLATFORM_FIXTURE), "--rc", "8.15",
+                       "--reference", path, "--reference-toolchain", "8.14"],
+    }[op]
+
+
+class TestLockfileInputs:
+    """``--lockfile``, ``--previous`` and ``--reference`` are read like index
+    files, except that a pipe is read too: anything unreadable ends in exit
+    code 3 and a named error, never a hang, a traceback or unbounded reading."""
+
+    NESTED = "[" * 1000 + "]" * 1000
+
+    @pytest.mark.parametrize("op", ["diff", "release", "coordinate"])
+    def test_deep_nesting_is_a_lockfile_error(self, capsys, tmp_path, op):
+        path = tmp_path / "nested.lock.json"
+        path.write_text(self.NESTED)
+        with pytest.raises(LockfileError, match="lockfile: invalid JSON"):
+            read_lockfile(path.read_bytes())
+        code, out, err = run_cli(capsys, *lockfile_argv(op, str(path), tmp_path))
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("pickforge: error: lockfile: invalid JSON (maximum recursion")
+        assert not (tmp_path / "out.lock.json").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_without_a_writer_reads_as_empty(self, tmp_path):
+        fifo = tmp_path / "pickforge.lock.json"
+        os.mkfifo(fifo)
+        proc = cli_in_child(*lockfile_argv("diff", str(fifo), tmp_path))
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == (
+            "pickforge: error: lockfile: invalid JSON "
+            "(Expecting value: line 1 column 1 (char 0))\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_device_is_not_read(self, tmp_path):
+        proc = cli_in_child(*lockfile_argv("diff", "/dev/zero", tmp_path))
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == "pickforge: error: /dev/zero: not a regular file\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("op", ["diff", "release-stdout"])
+    def test_pipe_with_a_live_writer_reads_as_the_file(self, lockfile, tmp_path, op):
+        # padded past a pipe's 64 KiB buffer, so the reader waits on the writer
+        text = lockfile.read_text() + " " * 2**17
+        lockfile.write_text(text)
+        from_file = cli_in_child(*lockfile_argv(op, str(lockfile), tmp_path))
+        from_pipe = cli_in_child(*lockfile_argv(op, "/dev/stdin", tmp_path), stdin=text)
+        assert from_file.returncode == EXIT_OK, from_file.stderr
+        assert from_file.stdout
+        assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == (
+            from_file.returncode, from_file.stdout, from_file.stderr
+        )
 
 
 class TestCoordinate:

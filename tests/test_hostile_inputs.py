@@ -1,0 +1,239 @@
+"""Property test: a broken index file or lockfile ends every op in a result or
+a named error with a documented exit code, never in a traceback, and the op
+writes nothing outside its output and cache directories.
+
+In the manner of QuickCheck (Claessen & Hughes, ICFP 2000), Hypothesis
+mutates one file of a copy of ``fixtures/platform``, or a lockfile that
+``release`` wrote, and runs one CLI op in process on it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from conftest import PLATFORM_FIXTURE
+from pickforge import cli
+
+# every module an op may import, loaded now, so that no op imports (and
+# perhaps writes bytecode for) one while its writes are recorded
+from pickforge import buildrun, policy, release  # noqa: F401
+
+DOCUMENTED_EXIT_CODES = {
+    cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_UNSAT, cli.EXIT_IO, cli.EXIT_USAGE,
+}
+EXAMPLES = 20
+
+# --- recording writes --------------------------------------------------------
+
+_WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+# audit events that change the file system, by the number of paths that
+# their arguments start with
+_CHANGE_EVENTS = {
+    "os.chmod": 1, "os.link": 2, "os.mkdir": 1, "os.remove": 1, "os.rename": 2,
+    "os.rmdir": 1, "os.symlink": 2, "os.truncate": 1, "os.utime": 1, "shutil.rmtree": 1,
+}
+_writes: list[str] | None = None  # paths written while an op runs, else None
+
+
+def _record_writes(event: str, args: tuple) -> None:
+    if _writes is None:
+        return
+    if event == "open":
+        paths = args[:1] if args[2] & _WRITE_FLAGS else ()
+    else:
+        paths = args[: _CHANGE_EVENTS.get(event, 0)]
+    _writes.extend(
+        os.path.abspath(os.fsdecode(path)) for path in paths if isinstance(path, (str, bytes))
+    )
+
+
+# an audit hook cannot be removed; it records nothing while _writes is None
+sys.addaudithook(_record_writes)
+
+
+def run_op(argv: list[str], writable: tuple[str, ...]) -> None:
+    """Run ``cli.main(argv)`` and check its exit code, its stderr and the paths
+    it wrote, which must all lie under one of the ``writable`` directories."""
+    global _writes
+    err = io.StringIO()
+    _writes = []
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        written, _writes = _writes, None
+    assert code in DOCUMENTED_EXIT_CODES, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert [
+        path for path in written if not any(path.startswith(d + os.sep) for d in writable)
+    ] == []
+
+
+# --- mutations ---------------------------------------------------------------
+
+# a mutation is a tuple (kind, position, extra); position picks a node, an
+# entry or a byte offset modulo the number there are, so any draw applies
+_POSITIONS = st.integers(min_value=0, max_value=2**16)
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.lists(st.text(max_size=4), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+_NOT_UTF8 = (b"\xff", b"\xe9", b"\xc3", b"\x80", b"\xed\xa0\x80")
+MUTATIONS = st.one_of(
+    st.tuples(st.just("retype"), _POSITIONS, _VALUES),
+    st.tuples(st.just("add"), _POSITIONS, _VALUES),
+    st.tuples(st.just("drop"), _POSITIONS, _POSITIONS),
+    st.tuples(st.just("truncate"), _POSITIONS, st.none()),
+    st.tuples(st.just("not-utf8"), _POSITIONS, st.sampled_from(_NOT_UTF8)),
+)
+# the whole file as nested lists: 1,000 deep passes the recursion limit a
+# CLI run has, and 100,000 deep the higher one Hypothesis sets while it runs
+# a test
+NESTED_1000_DEEP = ("nest", 1000, None)
+NESTED_100000_DEEP = ("nest", 100_000, None)
+
+
+def _nodes(tree) -> tuple[list, list]:
+    """Every list and object in ``tree`` and every (container, key) slot in
+    them, depth first."""
+    containers, slots = [], []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            keys = list(node)
+        elif isinstance(node, list):
+            keys = range(len(node))
+        else:
+            continue
+        containers.append(node)
+        for key in keys:
+            slots.append((node, key))
+            stack.append(node[key])
+    return containers, slots
+
+
+def mutate(data: bytes, mutation: tuple) -> bytes:
+    kind, position, extra = mutation
+    if kind == "nest":
+        return b"[" * position + b"]" * position
+    if kind == "truncate":
+        return data[: position % len(data)]
+    if kind == "not-utf8":
+        at = position % (len(data) + 1)
+        return data[:at] + extra + data[at:]
+    tree = json.loads(data)
+    containers, slots = _nodes(tree)
+    if kind == "retype":  # wrong type: one value, or the whole file, replaced
+        if not slots:
+            return json.dumps(extra).encode()
+        container, key = slots[position % len(slots)]
+        container[key] = extra
+    elif containers:  # wrong arity: a list or an object gains or loses an entry
+        container = containers[position % len(containers)]
+        if kind == "add" and isinstance(container, list):
+            container.append(extra)
+        elif kind == "add":
+            container["extra"] = extra
+        elif container:
+            keys = list(container) if isinstance(container, dict) else range(len(container))
+            del container[keys[extra % len(keys)]]
+    return json.dumps(tree).encode()
+
+
+# --- the tests ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A copy of the platform index, a lockfile released from it, and empty
+    output and cache directories."""
+    root = tmp_path_factory.mktemp("hostile")
+    shutil.copytree(PLATFORM_FIXTURE, root / "index")
+    (root / "lock").mkdir()
+    (root / "out").mkdir()
+    (root / "cache").mkdir()
+    lockfile = root / "lock" / "pickforge.lock.json"
+    assert cli.main([
+        "release", "--index", str(root / "index"), "--version", "2022.01.0",
+        "--output", str(lockfile),
+    ]) == cli.EXIT_OK
+    return root
+
+
+def _argv(root, op: str) -> list[str]:
+    index = ["--index", str(root / "index"), "--cache-dir", str(root / "cache")]
+    lockfile = str(root / "lock" / "pickforge.lock.json")
+    return {
+        "resolve": ["resolve", *index, "--toolchain", "8.15"],
+        "release": ["release", *index, "--version", "2022.04.0", "--toolchain", "8.15",
+                    "--previous", lockfile, "--carry-previous",
+                    "--output", str(root / "out" / "pickforge.lock.json")],
+        "policy": ["policy", *index],
+        "coordinate": ["coordinate", *index, "--rc", "8.15", "--reference", lockfile,
+                       "--reference-toolchain", "8.14"],
+        "script": ["script", *index, "--lockfile", lockfile],
+        "diff": ["diff", "--lockfile", lockfile, "--from", "8.13", "--to", "8.15"],
+        "upgrade": ["upgrade", "--lockfile", lockfile, "--from", "8.12", "--to", "8.15"],
+    }[op]
+
+
+def _run_mutated(root, target, mutation, op: str) -> None:
+    """Run ``op`` with the file at ``target`` mutated, then restore the file
+    and empty the output directory."""
+    original = target.read_bytes()
+    target.write_bytes(mutate(original, mutation))
+    try:
+        run_op(_argv(root, op), writable=(str(root / "out"), str(root / "cache")))
+    finally:
+        target.write_bytes(original)
+        for entry in (root / "out").iterdir():
+            entry.unlink()
+
+
+_INDEX_FILES = sorted(
+    str(path.relative_to(PLATFORM_FIXTURE)) for path in PLATFORM_FIXTURE.rglob("*.json")
+)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(
+    relpath=st.sampled_from(_INDEX_FILES),
+    mutation=MUTATIONS,
+    op=st.sampled_from(["resolve", "release", "policy", "coordinate", "script"]),
+)
+@example(relpath="index.json", mutation=NESTED_1000_DEEP, op="resolve")
+@example(relpath="packages/aldergrove/2.0.json", mutation=NESTED_100000_DEEP, op="release")
+@example(relpath="packages/aldergrove/versions.json", mutation=NESTED_100000_DEEP, op="script")
+def test_mutated_index_file(workspace, relpath, mutation, op):
+    _run_mutated(workspace, workspace / "index" / relpath, mutation, op)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(
+    mutation=MUTATIONS,
+    op=st.sampled_from(["diff", "upgrade", "release", "coordinate", "script"]),
+)
+@example(mutation=NESTED_1000_DEEP, op="diff")
+@example(mutation=NESTED_100000_DEEP, op="diff")
+@example(mutation=NESTED_100000_DEEP, op="release")
+@example(mutation=NESTED_100000_DEEP, op="coordinate")
+def test_mutated_lockfile(workspace, mutation, op):
+    _run_mutated(workspace, workspace / "lock" / "pickforge.lock.json", mutation, op)

@@ -3,13 +3,13 @@ from __future__ import annotations
 import json
 import os
 import re
-import resource
-import subprocess
 import sys
 
 import pytest
 
-from conftest import PLATFORM_FIXTURE, REPO_ROOT, make_repo, mf, raw_manifest, write_fixture
+from conftest import (
+    PLATFORM_FIXTURE, cli_in_child, make_repo, mf, raw_manifest, write_fixture,
+)
 from pickforge import index
 from pickforge.cli import EXIT_IO, main
 from pickforge.index import (
@@ -239,24 +239,6 @@ class TestLoadLocal:
         assert str(bound) == "1.0.0"
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-
-def _resolve_in_child(index_dir):
-    """Run a resolve on ``index_dir`` through the CLI in a child process with
-    20 s and 1 GiB of address space, so that a load that blocks or reads
-    without end fails the test instead of hanging the suite or filling
-    memory."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "pickforge.cli", "resolve", "--index", str(index_dir),
-         "--toolchain", "8.15"],
-        capture_output=True, text=True, env=env, timeout=20,
-        preexec_fn=_limit_address_space,
-    )
-
-
 class TestHostileLocalFiles:
     """Index files that are not regular files, or too large, end the load
     with a RepositoryError naming the file, never a hang or a MemoryError."""
@@ -270,7 +252,7 @@ class TestHostileLocalFiles:
         fifo = tmp_path / relpath
         fifo.unlink()
         os.mkfifo(fifo)
-        proc = _resolve_in_child(tmp_path)
+        proc = cli_in_child("resolve", "--index", str(tmp_path), "--toolchain", "8.15")
         assert proc.returncode == EXIT_IO
         assert proc.stderr == f"pickforge: error: {fifo}: not a regular file\n"
 
@@ -280,7 +262,7 @@ class TestHostileLocalFiles:
         manifest = tmp_path / "packages" / "alpha" / "1.0.json"
         manifest.unlink()
         manifest.symlink_to("/dev/zero")
-        proc = _resolve_in_child(tmp_path)
+        proc = cli_in_child("resolve", "--index", str(tmp_path), "--toolchain", "8.15")
         assert proc.returncode == EXIT_IO
         assert proc.stderr == f"pickforge: error: {manifest}: not a regular file\n"
 
@@ -302,6 +284,45 @@ class TestHostileLocalFiles:
         manifest.write_text(manifest.read_text().ljust(1024))
         monkeypatch.setattr(index, "FETCH_MAX_BYTES", 1024)
         assert len(load_repository(tmp_path).packages["alpha"]) == 1
+
+    @pytest.mark.parametrize(
+        "relpath", ["packages/alpha/1.0.json", "packages/alpha/versions.json", "index.json"]
+    )
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"[" * 1000 + b"]" * 1000, "maximum recursion depth exceeded"),
+            (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+            pytest.param(
+                b"9" * 5000, "Exceeds the limit",
+                marks=pytest.mark.skipif(
+                    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="needs a limit on integer digits",
+                ),
+            ),
+        ],
+        ids=["nested-1000-deep", "latin-1", "long-integer"],
+    )
+    def test_unparsable_file_is_named(self, tmp_path, relpath, content, reason):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        path = tmp_path / relpath
+        path.write_bytes(content)
+        with pytest.raises(RepositoryError, match=re.escape(f"{path}: invalid JSON (")):
+            load_repository(tmp_path)
+        proc = cli_in_child("resolve", "--index", str(tmp_path), "--toolchain", "8.15")
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.startswith(f"pickforge: error: {path}: invalid JSON (")
+        assert reason in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("listed", ["1.0\x00", "../../1.0", "1.0/extra"])
+    def test_listed_version_must_parse_before_it_names_a_file(self, tmp_path, listed):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        listing = tmp_path / "packages" / "alpha" / "versions.json"
+        listing.write_text(json.dumps([listed]))
+        with pytest.raises(RepositoryError, match=re.escape(f"{listing}: field '[0]': ")):
+            load_repository(tmp_path)
 
 
 class TestValidateRepository:
