@@ -1,26 +1,21 @@
-#!/usr/bin/env python3
-"""Benchmark the pick resolver against the exhaustive reference.
+"""Seeded random repositories and requests small enough to enumerate.
 
-Generates seeded random repositories, resolves each request both ways,
-checks the results agree, and prints timing percentiles.  Useful when
-touching the solver's search order or pruning.
-
-    python3 scripts/solver_bench.py --instances 300 --seed 7
+``random_instance`` draws the instances on which ``perfbench/run.py
+--oracle N`` and acceptance criterion 1 (``tests/test_acceptance.py``)
+check ``resolve_pick`` against the exhaustive ``enumerate_best``.  Both
+load this file by path.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
-import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pickforge.index import PackageManifest, Repository
-from pickforge.solver import SelectionRequest, enumerate_best, resolve_pick
+from pickforge.solver import SelectionRequest
 from pickforge.versioning import parse_constraint, parse_version, satisfies
 
 VERSION_POOL = ["0.9", "1.0", "1.1", "2.0", "2.0-rc1", "2.1", "3.0", "3.1"]
@@ -97,51 +92,3 @@ def random_instance(rng: random.Random, cap: int) -> tuple[Repository, Selection
         include_dev=rng.random() < 0.3,
     )
     return repo, request
-
-
-def percentile(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--instances", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=20220100)
-    parser.add_argument("--space-cap", type=int, default=30_000)
-    args = parser.parse_args()
-
-    rng = random.Random(args.seed)
-    resolve_times, oracle_times = [], []
-    unsat = mismatches = 0
-    for _ in range(args.instances):
-        repo, request = random_instance(rng, args.space_cap)
-        t0 = time.perf_counter()
-        got = resolve_pick(repo, request)
-        t1 = time.perf_counter()
-        want = enumerate_best(repo, request)
-        t2 = time.perf_counter()
-        resolve_times.append(t1 - t0)
-        oracle_times.append(t2 - t1)
-        if got != want:
-            mismatches += 1
-        if not hasattr(got, "selected"):
-            unsat += 1
-
-    def line(label: str, values: list[float]) -> str:
-        return (
-            f"{label:>10}: mean {statistics.mean(values) * 1e3:7.2f} ms   "
-            f"p50 {percentile(values, 0.50) * 1e3:7.2f} ms   "
-            f"p95 {percentile(values, 0.95) * 1e3:7.2f} ms   "
-            f"max {max(values) * 1e3:7.2f} ms"
-        )
-
-    print(f"{args.instances} instances (seed {args.seed}), "
-          f"{unsat} unsatisfiable, {mismatches} mismatches")
-    print(line("resolve", resolve_times))
-    print(line("reference", oracle_times))
-    return 1 if mismatches else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

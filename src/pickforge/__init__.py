@@ -20,14 +20,12 @@ _EXPORTS = {
         "CoordinationReport", "SuccessionReport", "check_removals", "check_succession",
         "coordinate",
     ),
+    "reference": ("enumerate_best", "verify_pick"),
     "release": (
         "PickDiff", "Release", "UpgradeReport", "assemble_release", "diff_picks",
         "read_lockfile", "upgrade_path", "write_lockfile",
     ),
-    "solver": (
-        "Pick", "SelectionRequest", "UnsatReport", "enumerate_best", "resolve_pick",
-        "verify_pick",
-    ),
+    "solver": ("Pick", "SelectionRequest", "UnsatReport", "resolve_pick"),
     "versioning": (
         "CalendarVersion", "Constraint", "Version", "compare_versions",
         "parse_calendar_version", "parse_constraint", "parse_version", "satisfies",

@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .errors import PickforgeError
 from .index import Repository
-from .solver import Pick, verify_pick
+from .reference import verify_pick
+from .solver import Pick
 from .versioning import Version
 
 BUILD_FAILED = "BuildFailed"

@@ -6,16 +6,18 @@ resolution, 3 I/O or data errors, 64 usage errors.
 
 # Start-up is most of an op's cost, so this module imports at top level
 # only the index, the solver and the version parsers, which most
-# subcommands run.  A handler that needs ``release``, ``policy`` or
-# ``buildrun`` imports it itself and calls through the module attribute.
+# subcommands run, and it reads options from its own table: ``argparse``
+# would cost every op its import and a parser for every subcommand.
+# A handler that needs ``release``, ``policy`` or ``buildrun`` imports it
+# itself and calls through the module attribute.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import solver
 from .errors import PickforgeError
@@ -35,101 +37,163 @@ EXIT_IO = 3
 EXIT_USAGE = 64
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+        raise ValueError(f"{text!r} is not a positive integer")
     return int(text)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pickforge", description=__doc__)
-    plain = argparse.ArgumentParser(add_help=False)
-    plain.add_argument("--format", choices=("text", "json"), default="text")
-    plain.add_argument("--cache-dir", help="override the PICKFORGE_CACHE mirror directory")
-    common = argparse.ArgumentParser(add_help=False, parents=[plain])
-    common.add_argument(
-        "--index", required=True, help="index source: local directory or HTTP base URL"
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# Option kinds.  VALUE: one value, None unless given; REQUIRED: one value
+# that must be given; REPEAT: every value given, as a list in their order;
+# FLAG: no value, True if given.  A tuple of texts is a choice of values, and
+# a function converts the value, raising ValueError if it is bad.
+VALUE, REQUIRED, REPEAT, FLAG = "value", "required", "repeat", "flag"
+_HELP_NOTES = {REQUIRED: " (required)", REPEAT: " (repeatable)"}
 
-    p = sub.add_parser("resolve", parents=[common], help="resolve a pick for one toolchain")
-    p.add_argument("--toolchain", required=True)
-    p.add_argument("--mandatory", action="append", default=[], metavar="NAME")
-    p.add_argument("--optional", action="append", default=[], metavar="NAME")
-    p.add_argument("--override", action="append", default=[], metavar="NAME=VERSION")
-    p.add_argument("--include-dev", action="store_true")
+# each option: (flag, dest, kind, default, help)
+_OUTPUT = (
+    ("--format", "format", ("text", "json"), "text", "output format: text (default) or json"),
+    ("--cache-dir", "cache_dir", VALUE, None, "override the PICKFORGE_CACHE mirror directory"),
+)
+_INDEX = (*_OUTPUT, ("--index", "index", REQUIRED, None, "index directory or HTTP base URL"))
+_REQUEST = (
+    ("--mandatory", "mandatory", REPEAT, None, "package that must be selected"),
+    ("--optional", "optional", REPEAT, None, "package to select if possible (default: all)"),
+    ("--override", "override", REPEAT, None, "NAME=VERSION: pin a package"),
+    ("--include-dev", "include_dev", FLAG, None, "admit development snapshots"),
+)
+_LOCKFILE = ("--lockfile", "lockfile", REQUIRED, None, "lockfile to read")
+_FROM_TO = (
+    ("--from", "from_toolchain", REQUIRED, None, "toolchain of the first pick"),
+    ("--to", "to_toolchain", REQUIRED, None, "toolchain of the second pick"),
+)
+_PICK = ("--toolchain", "toolchain", VALUE, None, "toolchain of the pick (default: newest)")
 
-    p = sub.add_parser("release", parents=[common], help="resolve picks and write a lockfile")
-    p.add_argument("--version", required=True, metavar="YYYY.MM.P")
-    p.add_argument("--toolchain", action="append", default=[],
-                   help="toolchains to include (default: all in the index)")
-    p.add_argument("--mandatory", action="append", default=[], metavar="NAME")
-    p.add_argument("--optional", action="append", default=[], metavar="NAME",
-                   help="optional packages (default: every package in the index)")
-    p.add_argument("--override", action="append", default=[], metavar="NAME=VERSION")
-    p.add_argument("--include-dev", action="store_true")
-    p.add_argument("--previous", metavar="LOCKFILE")
-    p.add_argument("--carry-previous", action="store_true",
-                   help="re-ship previous picks for toolchains not resolved here")
-    p.add_argument("--strict-removals", action="store_true")
-    p.add_argument("--output", default="pickforge.lock.json", metavar="PATH",
-                   help="lockfile path, or - for stdout")
+# each subcommand: (help, options); ``main`` runs it with ``cmd_<name>``
+COMMANDS = {
+    "resolve": ("resolve a pick for one toolchain", (
+        *_INDEX, ("--toolchain", "toolchain", REQUIRED, None, "toolchain to resolve for"),
+        *_REQUEST,
+    )),
+    "release": ("resolve picks and write a lockfile", (
+        *_INDEX,
+        ("--version", "version", REQUIRED, None, "release version: YYYY.MM.P"),
+        ("--toolchain", "toolchain", REPEAT, None, "toolchain to resolve (default: all)"),
+        *_REQUEST,
+        ("--previous", "previous", VALUE, None, "lockfile of the previous release"),
+        ("--carry-previous", "carry_previous", FLAG, None, "re-ship other previous picks"),
+        ("--strict-removals", "strict_removals", FLAG, None, "fail on undeprecated removals"),
+        ("--output", "output", VALUE, "pickforge.lock.json", "lockfile path, or - for stdout"),
+    )),
+    "diff": ("diff two picks of a lockfile", (*_OUTPUT, _LOCKFILE, *_FROM_TO)),
+    "upgrade": ("stepwise upgrade path between toolchains", (*_OUTPUT, _LOCKFILE, *_FROM_TO)),
+    "coordinate": ("maintainer report for a toolchain release candidate", (
+        *_INDEX,
+        ("--rc", "rc", REQUIRED, None, "toolchain release candidate"),
+        ("--reference", "reference", REQUIRED, None, "lockfile to report against"),
+        ("--reference-toolchain", "reference_toolchain", VALUE, None,
+         "pick of the reference (default: newest)"),
+    )),
+    "policy": ("succession policy checks", (
+        *_INDEX, ("--package", "package", REPEAT, None, "package to check (default: all)"),
+    )),
+    "smoke": ("run the smoke-test kit for a pick", (
+        *_INDEX, _LOCKFILE, _PICK,
+        ("--sandbox", "sandbox", REQUIRED, None, "empty directory to build in"),
+        ("--jobs", "jobs", _positive_int, 1, "steps to run at once (default: 1)"),
+    )),
+    "script": ("emit a standalone install script", (*_INDEX, _LOCKFILE, _PICK)),
+}
 
-    p = sub.add_parser("diff", parents=[plain], help="diff two picks of a lockfile")
-    p.add_argument("--lockfile", required=True)
-    p.add_argument("--from", dest="from_toolchain", required=True)
-    p.add_argument("--to", dest="to_toolchain", required=True)
 
-    p = sub.add_parser("upgrade", parents=[plain], help="stepwise upgrade path between toolchains")
-    p.add_argument("--lockfile", required=True)
-    p.add_argument("--from", dest="from_toolchain", required=True)
-    p.add_argument("--to", dest="to_toolchain", required=True)
+def _usage(command: str | None) -> str:
+    return f"usage: pickforge {command or '{' + ','.join(COMMANDS) + '}'} [-h] [options]"
 
-    p = sub.add_parser("coordinate", parents=[common],
-                       help="maintainer report for a toolchain release candidate")
-    p.add_argument("--rc", required=True)
-    p.add_argument("--reference", required=True, metavar="LOCKFILE")
-    p.add_argument("--reference-toolchain",
-                   help="which pick of the lockfile to report on (default: newest)")
 
-    p = sub.add_parser("policy", parents=[common], help="succession policy checks")
-    p.add_argument("--package", action="append", default=[],
-                   help="package to check (default: every package)")
+def _usage_error(command: str | None, message: str):
+    prog = f"pickforge {command}" if command else "pickforge"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
 
-    p = sub.add_parser("smoke", parents=[common], help="run the smoke-test kit for a pick")
-    p.add_argument("--lockfile", required=True)
-    p.add_argument("--toolchain", help="which pick to run (default: newest)")
-    p.add_argument("--sandbox", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
 
-    p = sub.add_parser("script", parents=[common], help="emit a standalone install script")
-    p.add_argument("--lockfile", required=True)
-    p.add_argument("--toolchain", help="which pick to emit (default: newest)")
+def _show_help(command: str | None):
+    if command is None:
+        lines = [__doc__ or "", "commands:"]
+        lines += [f"  {name:<12}{summary}" for name, (summary, _) in COMMANDS.items()]
+    else:
+        summary, options = COMMANDS[command]
+        lines = [summary, "", "options:", f"  {'-h, --help':<24}show this help and exit"]
+        lines += [f"  {flag:<24}{text}{_HELP_NOTES.get(kind, '')}"
+                  for flag, _, kind, _, text in options]
+    print("\n".join([_usage(command), "", *lines]))
+    raise SystemExit(EXIT_OK)
 
-    return parser
+
+def _parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The subcommand ``argv`` names and its option values, by dest, under
+    the grammar README.md describes.  ``-h``/``--help`` and a usage error
+    end the program with SystemExit."""
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[0]
+    if command == "-h" or len(command) > 2 and "--help".startswith(command):
+        _show_help(None)
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = {spec[0]: spec for spec in COMMANDS[command][1]}
+    values = {
+        dest: [] if kind is REPEAT else False if kind is FLAG else default
+        for _, dest, kind, default, _ in options.values()
+    }
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, has_value, value = ("--help", "", "") if token == "-h" else token.partition("=")
+        if len(name) < 3 or not name.startswith("--"):
+            _usage_error(command, f"unrecognized arguments: {token}")
+        matches = [name] if name in options else [
+            flag for flag in ("--help", *options) if flag.startswith(name)
+        ]
+        if len(matches) != 1:
+            _usage_error(command, f"ambiguous option: {name} could match {', '.join(matches)}"
+                         if matches else f"unrecognized arguments: {token}")
+        flag = matches[0]
+        if flag == "--help":
+            _show_help(command)
+        _, dest, kind, _, _ = options[flag]
+        if kind is FLAG:
+            if has_value:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+            values[dest] = True
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-":
+                _usage_error(command, f"argument {flag}: expected one argument")
+        if type(kind) is tuple and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {choices})")
+        if callable(kind):
+            try:
+                value = kind(value)
+            except ValueError as exc:
+                _usage_error(command, f"argument {flag}: {exc}")
+        if kind is REPEAT:
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    missing = [flag for flag, dest, kind, _, _ in options.values()
+               if kind is REQUIRED and values[dest] is None]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "resolve": cmd_resolve,
-        "release": cmd_release,
-        "diff": cmd_diff,
-        "upgrade": cmd_upgrade,
-        "coordinate": cmd_coordinate,
-        "policy": cmd_policy,
-        "smoke": cmd_smoke,
-        "script": cmd_script,
-    }[args.command]
+    command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return handler(args)
+        return globals()[f"cmd_{command}"](args)
     except (PickforgeError, OSError, ValueError) as exc:
         print(f"pickforge: error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -201,9 +265,7 @@ def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
 
 def _print_pick(pick: Pick, output_format: str) -> None:
     if output_format == "json":
-        from . import release
-
-        _emit_json(release.pick_payload(pick))
+        _emit_json(pick.to_json_dict())
         return
     print(f"pick for toolchain {pick.toolchain} ({len(pick.selected)} packages)")
     for name in sorted(pick.selected):

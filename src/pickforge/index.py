@@ -8,9 +8,9 @@ On-disk layout of an index (local directory or HTTP base URL):
 
 ``versions.json`` exists so that an HTTP source is enumerable without
 directory listings; local loads fall back to scanning the directory when
-it is absent.  HTTP sources are mirrored into a cache directory keyed by
-the content digest of ``index.json``; reloading an unchanged index is
-served entirely from the cache.
+it is absent.  HTTP sources are copied by ``mirror`` into a cache
+directory keyed by the content digest of ``index.json`` and loaded from
+there.
 
 Every index file is read whole by ``read_file``, without blocking, and
 must be a regular file of at most ``FETCH_MAX_BYTES``, the cap an HTTP body
@@ -39,10 +39,6 @@ from .versioning import (
     satisfies,
 )
 
-CACHE_ENV_VAR = "PICKFORGE_CACHE"
-
-# seconds an HTTP source may stall one request before the load fails
-FETCH_TIMEOUT_S = 30
 # largest body one request may return, and largest index file a load
 # reads; a longer one fails the load
 FETCH_MAX_BYTES = 16 * 2**20
@@ -237,7 +233,9 @@ def load_repository(source: str | Path, cache_dir: str | Path | None = None) -> 
     """
     text = str(source)
     if text.startswith("http://") or text.startswith("https://"):
-        root = _mirror_http_source(text.rstrip("/"), _resolve_cache_dir(cache_dir))
+        from .mirror import mirror_http_source
+
+        root = mirror_http_source(text.rstrip("/"), cache_dir)
     else:
         root = Path(source)
     repo = _load_local(str(root))
@@ -246,69 +244,6 @@ def load_repository(source: str | Path, cache_dir: str | Path | None = None) -> 
         summary = "; ".join(str(issue) for issue in issues[:5])
         raise RepositoryError(f"invalid repository at {source}: {summary}")
     return repo
-
-
-def _resolve_cache_dir(cache_dir: str | Path | None) -> Path:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "pickforge"
-
-
-def _fetch(url: str) -> bytes:
-    # imported here: only HTTP sources need them, and they are slow to import
-    import urllib.error
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
-            data = response.read(FETCH_MAX_BYTES + 1)
-    except (urllib.error.URLError, OSError) as exc:
-        raise RepositoryError(f"unreachable source {url}: {exc}") from exc
-    if len(data) > FETCH_MAX_BYTES:
-        raise RepositoryError(f"{url} exceeds {FETCH_MAX_BYTES} bytes")
-    return data
-
-
-def _mirror_http_source(base_url: str, cache_dir: Path) -> Path:
-    import hashlib
-    import shutil
-    import tempfile
-
-    index_bytes = _fetch(f"{base_url}/index.json")
-    digest = hashlib.sha256(index_bytes).hexdigest()[:16]
-    mirror = cache_dir / digest
-    if mirror.is_dir():
-        return mirror
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{digest}-", dir=cache_dir))
-    try:
-        (staging / "index.json").write_bytes(index_bytes)
-        index = parse_json(index_bytes, f"{base_url}/index.json")
-        for name in _index_package_names(index, f"{base_url}/index.json"):
-            listing_url = f"{base_url}/packages/{name}/versions.json"
-            versions_bytes = _fetch(listing_url)
-            listed = _version_list(versions_bytes, listing_url, parse_version)
-            pkg_dir = staging / "packages" / name
-            pkg_dir.mkdir(parents=True)
-            (pkg_dir / "versions.json").write_bytes(versions_bytes)
-            for version_text in listed:
-                manifest_bytes = _fetch(f"{base_url}/packages/{name}/{version_text}.json")
-                (pkg_dir / f"{version_text}.json").write_bytes(manifest_bytes)
-        try:
-            staging.rename(mirror)
-        except OSError:
-            if not mirror.is_dir():  # lost a race with a concurrent mirror
-                raise
-            shutil.rmtree(staging, ignore_errors=True)
-    except Exception:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    return mirror
 
 
 def parse_json(data: bytes, context: str, error: type[PickforgeError] = RepositoryError):

@@ -236,20 +236,11 @@ def upgrade_path(release: Release, start: Version, end: Version) -> UpgradeRepor
 # --- lockfile serialization ---------------------------------------------------
 
 
-def pick_payload(pick: Pick) -> dict:
-    """JSON-ready representation of a pick; shared by lockfiles and the CLI."""
-    return {
-        "toolchain": str(pick.toolchain),
-        "selected": {name: str(version) for name, version in sorted(pick.selected.items())},
-        "excluded": dict(sorted(pick.excluded.items())),
-    }
-
-
 def write_lockfile(release: Release) -> bytes:
     payload = {
         "version": str(release.version),
         "predecessor": None if release.predecessor is None else str(release.predecessor),
-        "picks": [pick_payload(pick) for pick in release.picks],
+        "picks": [pick.to_json_dict() for pick in release.picks],
     }
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -68,6 +69,120 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "box").exists()
+
+
+# every option each subcommand takes; --help lists exactly these
+_OUTPUT_OPTIONS = ["--format", "--cache-dir"]
+_INDEX_OPTIONS = [*_OUTPUT_OPTIONS, "--index"]
+_REQUEST_OPTIONS = ["--mandatory", "--optional", "--override", "--include-dev"]
+COMMAND_OPTIONS = {
+    "resolve": [*_INDEX_OPTIONS, "--toolchain", *_REQUEST_OPTIONS],
+    "release": [*_INDEX_OPTIONS, "--version", "--toolchain", *_REQUEST_OPTIONS, "--previous",
+                "--carry-previous", "--strict-removals", "--output"],
+    "diff": [*_OUTPUT_OPTIONS, "--lockfile", "--from", "--to"],
+    "upgrade": [*_OUTPUT_OPTIONS, "--lockfile", "--from", "--to"],
+    "coordinate": [*_INDEX_OPTIONS, "--rc", "--reference", "--reference-toolchain"],
+    "policy": [*_INDEX_OPTIONS, "--package"],
+    "smoke": [*_INDEX_OPTIONS, "--lockfile", "--toolchain", "--sandbox", "--jobs"],
+    "script": [*_INDEX_OPTIONS, "--lockfile", "--toolchain"],
+}
+RESOLVE = ["resolve", "--index", str(PLATFORM_FIXTURE)]
+
+
+def parsed_args(monkeypatch, argv: list[str]) -> dict:
+    """The option values the subcommand's handler receives for ``argv``."""
+    seen = {}
+
+    def handler(args):
+        seen.update(vars(args))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", handler)
+    assert main(argv) == EXIT_OK
+    return seen
+
+
+class TestGrammar:
+    """The option grammar: forms of a value, abbreviations, help, usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        [f"--index={PLATFORM_FIXTURE}", "--toolchain", "8.15", "--format=json"],
+        ["--index", str(PLATFORM_FIXTURE), "--tool", "8.15", "--form", "json"],
+        ["--index", str(PLATFORM_FIXTURE), "--toolchain", "8.13", "--toolchain", "8.15",
+         "--format", "json"],
+    ], ids=["equals", "abbreviated", "last-wins"])
+    def test_spellings_of_one_request_give_one_pick(self, capsys, argv):
+        want = run_cli(capsys, *RESOLVE, "--toolchain", "8.15", "--format", "json")
+        assert run_cli(capsys, "resolve", *argv) == want
+        assert json.loads(want[1])["toolchain"] == "8.15"
+
+    def test_ambiguous_prefix_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*RESOLVE, "--toolchain", "8.15", "--o", "alpha"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--o" in err and "--optional" in err and "--override" in err
+
+    def test_exact_name_wins_over_a_longer_one(self, monkeypatch):
+        seen = parsed_args(monkeypatch, ["coordinate", "--index", "x", "--rc", "8.15",
+                                         "--reference", "a.lock"])
+        assert (seen["reference"], seen["reference_toolchain"]) == ("a.lock", None)
+
+    def test_repeated_options_keep_their_order(self, monkeypatch):
+        seen = parsed_args(monkeypatch, [*RESOLVE, "--toolchain", "8.15",
+                                         "--mandatory", "zeta", "--optional", "beta",
+                                         "--mandatory", "alpha", "--mandatory=mid"])
+        assert seen["mandatory"] == ["zeta", "alpha", "mid"]
+        assert seen["optional"] == ["beta"]
+        seen = parsed_args(monkeypatch, ["release", "--index", "x", "--version", "2022.01.0",
+                                         "--toolchain", "8.14", "--toolchain", "8.12"])
+        assert seen["toolchain"] == ["8.14", "8.12"]
+
+    def test_defaults(self, monkeypatch):
+        seen = parsed_args(monkeypatch, ["smoke", "--index", "x", "--lockfile", "y",
+                                         "--sandbox", "z"])
+        assert (seen["format"], seen["cache_dir"], seen["toolchain"], seen["jobs"]) == (
+            "text", None, None, 1
+        )
+        seen = parsed_args(monkeypatch, ["release", "--index", "x", "--version", "2022.01.0"])
+        assert (seen["output"], seen["include_dev"], seen["optional"]) == (
+            "pickforge.lock.json", False, []
+        )
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_lists_every_subcommand(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        for command in COMMAND_OPTIONS:
+            assert re.search(rf"\b{command}\b", out), command
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_subcommand_help_lists_its_options(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == EXIT_OK
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed - {"--help"} == set(COMMAND_OPTIONS[command])
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], "command"),
+        (["nope"], "nope"),
+        ([*RESOLVE, "--toolchain", "8.15", "stray"], "stray"),
+        ([*RESOLVE, "--toolchain", "8.15", "--include-dev=x"], "--include-dev"),
+        ([*RESOLVE, "--toolchain"], "--toolchain"),
+        ([*RESOLVE, "--toolchain", "8.15", "--mandatory"], "--mandatory"),
+    ], ids=["no-command", "unknown-command", "stray", "flag-value", "no-value", "no-value-2"])
+    def test_usage_errors_name_the_argument(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: pickforge")
+        assert re.search(r"^pickforge( \w+)?: error: .*" + re.escape(named), err, re.M)
 
 
 class TestResolve:

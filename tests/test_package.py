@@ -52,6 +52,19 @@ class TestLazyApi:
             getattr(pickforge, "nope")
         assert not hasattr(pickforge, "nope")
 
+    def test_solver_reexports_the_reference(self):
+        from pickforge import reference, solver
+        from pickforge.solver import (MUTUAL_EXCLUSION, EnumerationLimitError, PickViolation,
+                                      enumerate_best, verify_pick)
+
+        assert enumerate_best is reference.enumerate_best is pickforge.enumerate_best
+        assert verify_pick is reference.verify_pick is pickforge.verify_pick
+        assert (PickViolation, EnumerationLimitError, MUTUAL_EXCLUSION) == (
+            reference.PickViolation, reference.EnumerationLimitError, reference.MUTUAL_EXCLUSION
+        )
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            getattr(solver, "nope")
+
 
 # Runs CLI ops one after another in this child and prints the modules they
 # left loaded, less those the bare interpreter had already loaded.
@@ -77,6 +90,10 @@ def loaded_after(*ops: list[str]) -> tuple[list[int], set[str]]:
     result = json.loads(proc.stdout)
     return result["codes"], set(result["loaded"])
 
+
+# option parsers and the modules they load for their messages; the CLI
+# parses its options without them
+PARSER_MODULES = {"argparse", "getopt", "gettext", "locale"}
 
 # ``dataclasses`` and the modules it loads to generate record classes at
 # import; records are built without them, so no op should pay for them
@@ -147,6 +164,35 @@ class TestImportBudget:
         assert codes == [0, 0]
         assert "pickforge.buildrun" in loaded
         assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_no_op_loads_an_option_parser(self, op, lockfiles, tmp_path):
+        template, expected_code = OPS[op]
+        values = dict(lockfiles, platform=PLATFORM_FIXTURE, smoke=SMOKE_FIXTURE, tmp=tmp_path)
+        codes, loaded = loaded_after([arg.format(**values) for arg in template])
+        assert codes == [expected_code]
+        # ``subprocess``, which runs the smoke kit's build commands, imports
+        # ``locale`` itself
+        allowed = {"locale"} if "subprocess" in loaded else set()
+        assert not loaded & (PARSER_MODULES - allowed)
+
+    def test_resolve_and_release_load_no_reference_or_mirror(self, tmp_path):
+        values = dict(platform=PLATFORM_FIXTURE, tmp=tmp_path)
+        codes, loaded = loaded_after(
+            *([arg.format(**values) for arg in OPS[op][0]] for op in ("resolve", "release")),
+            ["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
+             "--mandatory", "oldstone"],
+        )
+        assert codes == [0, 0, 2]
+        assert not loaded & {"pickforge.reference", "pickforge.mirror"}
+
+    def test_json_resolve_loads_no_lockfile_module(self):
+        codes, loaded = loaded_after(
+            ["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
+             "--format", "json"],
+        )
+        assert codes == [0]
+        assert "pickforge.release" not in loaded
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_no_op_loads_record_code_generation(self, op, lockfiles, tmp_path):

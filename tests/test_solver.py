@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from conftest import PLATFORM_FIXTURE, make_repo, mf
-from pickforge import solver
+from pickforge import reference, solver
 from pickforge.index import (
     Repository,
     UnknownPackageError,
@@ -656,7 +656,9 @@ def _plainly_pruned(repo: Repository, req: SelectionRequest) -> dict[str, list]:
     with a dependency that no kept version of its target satisfies is left."""
     kept = {
         name: list(
-            solver._candidate_versions(repo, req.toolchain, req.include_dev, req.overrides, name)
+            reference._candidate_versions(
+                repo, req.toolchain, req.include_dev, req.overrides, name
+            )
         )
         for name in repo.packages
     }
@@ -760,7 +762,7 @@ def test_request_candidates_match_compatible_versions(platform_repo):
                         fits,
                     )
                     assert [table.versions[c] for c in pinned[name]] == list(
-                        solver._candidate_versions(
+                        reference._candidate_versions(
                             platform_repo, toolchain, include_dev, overrides, name
                         )
                     )
