@@ -14,6 +14,11 @@ first alternates from op to op and round to round, so both trees meet the
 same host load.  One benchmark run per side cannot promise that, and on a
 shared host a start-up change is smaller than the swing between two runs.
 
+Both trees are timed from copies made without their ``__pycache__``
+directories, so each compiles pickforge from source as the benchmark's
+fresh checkout does: a working tree's stale bytecode is read even under
+``PYTHONDONTWRITEBYTECODE=1``, and it would spare one side the compile.
+
 Wall time is taken around the spawn and ``os.wait4``; CPU time is the
 child's user plus system time as ``wait4`` reports it.  The script prints
 each op's median per tree, the sum of those medians, and how many rounds
@@ -111,12 +116,15 @@ def main() -> int:
     mismatches = 0
     with tempfile.TemporaryDirectory(prefix="op_ab-") as tmp:
         work, scratch = Path(tmp) / "inputs", Path(tmp)
+        copies = [str(scratch / f"src-{side}") for side in "ab"]
+        for tree, copy in zip(trees, copies):
+            shutil.copytree(tree, copy, ignore=shutil.ignore_patterns("__pycache__"))
         workload = workloads.WORKLOADS[args.workload](random.Random(args.seed), work)
         work.mkdir()
         workload.inputs.write()
         ops = workload.ops
         # the warm-up writes what later ops read, such as a previous lockfile
-        warm = [run_op(workload.warmup, tree, scratch)[2] for tree in trees]
+        warm = [run_op(workload.warmup, copy, scratch)[2] for copy in copies]
         wrong = [problem(workload.warmup, outputs) for outputs in warm]
         if any(wrong) or warm[0] != warm[1]:
             print(f"warm-up failed or differs between the trees: {wrong}")
@@ -130,7 +138,7 @@ def main() -> int:
                 seen = [None, None]
                 first = (round_no + i) % 2
                 for side in (first, 1 - first):
-                    seconds, cpu_seconds, seen[side] = run_op(op, trees[side], scratch)
+                    seconds, cpu_seconds, seen[side] = run_op(op, copies[side], scratch)
                     wall[side][i].append(seconds)
                     cpu[side][i].append(cpu_seconds)
                     totals["wall"][side] += seconds

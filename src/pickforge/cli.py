@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,13 +29,14 @@ from .versioning import parse_calendar_version, parse_version
 # type checkers read this name as true; ``typing`` is not imported for it
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .release import PickDiff, Release
+    from .release import Release
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_UNSAT = 2
 EXIT_IO = 3
 EXIT_USAGE = 64
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of the output closed it early
 
 
 def _positive_int(text: str) -> int:
@@ -194,6 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return globals()[f"cmd_{command}"](args)
+    except BrokenPipeError:
+        raise  # the reader of the output left; ``entrypoint`` ends quietly
     except (PickforgeError, OSError, ValueError) as exc:
         print(f"pickforge: error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -207,18 +211,36 @@ def entrypoint() -> None:
     included.  Then no collection walks the modules and the loaded index,
     during the run or at interpreter exit.  ``main`` and the library leave
     the collector alone, since their callers may run many ops in one
-    process.
+    process.  If the reader of the output closes it early, the run ends as
+    one that SIGPIPE killed would, with exit code 141 and nothing on stderr.
     """
     gc.disable()
     try:
-        code = main()
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to /dev/null, so the interpreter's last flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
     finally:
         gc.freeze()
     sys.exit(code)
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _emit(result, output_format: str) -> None:
+    """Print a result, or each result of a list, by its own ``to_text()`` or
+    ``to_json_dict()``; a list prints as one JSON object with every result's keys."""
+    results = result if isinstance(result, list) else [result]
+    if output_format == "json":
+        payload = {}
+        for item in results:
+            payload.update(item.to_json_dict())
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for item in results:
+            print(item.to_text())
 
 
 def _load_index(args) -> Repository:
@@ -232,11 +254,11 @@ def _read_lockfile(path: str) -> Release:
     return release.read_lockfile(read_file(path, release.LockfileError, pipes=True))
 
 
-def _pick_from_lockfile(path: str, toolchain: str | None) -> tuple[Release, Pick]:
+def _pick_from_lockfile(path: str, toolchain: str | None) -> Pick:
     rel = _read_lockfile(path)
     if toolchain is None:
-        return rel, rel.picks[-1]
-    return rel, rel.pick_for(parse_version(toolchain))
+        return rel.picks[-1]
+    return rel.pick_for(parse_version(toolchain))
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -263,36 +285,11 @@ def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
     )
 
 
-def _print_pick(pick: Pick, output_format: str) -> None:
-    if output_format == "json":
-        _emit_json(pick.to_json_dict())
-        return
-    print(f"pick for toolchain {pick.toolchain} ({len(pick.selected)} packages)")
-    for name in sorted(pick.selected):
-        print(f"  {name} {pick.selected[name]}")
-    if pick.excluded:
-        print("excluded:")
-        for name in sorted(pick.excluded):
-            print(f"  {name}: {pick.excluded[name]}")
-
-
-def _print_unsat(report: UnsatReport, output_format: str) -> None:
-    if output_format == "json":
-        _emit_json({"culprits": list(report.culprits), "narrative": list(report.narrative)})
-        return
-    print("no valid pick:")
-    for line in report.narrative:
-        print(f"  {line}")
-
-
 def cmd_resolve(args) -> int:
     repo = _load_index(args)
     result = solver.resolve_pick(repo, _request(repo, args, args.toolchain))
-    if isinstance(result, UnsatReport):
-        _print_unsat(result, args.format)
-        return EXIT_UNSAT
-    _print_pick(result, args.format)
-    return EXIT_OK
+    _emit(result, args.format)
+    return EXIT_UNSAT if isinstance(result, UnsatReport) else EXIT_OK
 
 
 def cmd_release(args) -> int:
@@ -336,28 +333,6 @@ def cmd_release(args) -> int:
     return EXIT_OK
 
 
-def _diff_payload(diff: PickDiff) -> dict:
-    return {
-        "added": sorted(diff.added),
-        "removed": sorted(diff.removed),
-        "upgraded": {n: [str(a), str(b)] for n, (a, b) in sorted(diff.upgraded.items())},
-        "downgraded": {n: [str(a), str(b)] for n, (a, b) in sorted(diff.downgraded.items())},
-        "unchanged": sorted(diff.unchanged),
-    }
-
-
-def _print_diff(diff: PickDiff) -> None:
-    for name in sorted(diff.added):
-        print(f"  + {name}")
-    for name in sorted(diff.removed):
-        print(f"  - {name}")
-    for name, (old, new) in sorted(diff.upgraded.items()):
-        print(f"  ^ {name} {old} -> {new}")
-    for name, (old, new) in sorted(diff.downgraded.items()):
-        print(f"  v {name} {old} -> {new}")
-    print(f"  = {len(diff.unchanged)} unchanged")
-
-
 def cmd_diff(args) -> int:
     from . import release
 
@@ -365,11 +340,9 @@ def cmd_diff(args) -> int:
     a = rel.pick_for(parse_version(args.from_toolchain))
     b = rel.pick_for(parse_version(args.to_toolchain))
     diff = release.diff_picks(a, b)
-    if args.format == "json":
-        _emit_json(_diff_payload(diff))
-    else:
+    if args.format == "text":
         print(f"diff {a.toolchain} -> {b.toolchain}")
-        _print_diff(diff)
+    _emit(diff, args.format)
     return EXIT_OK
 
 
@@ -377,28 +350,8 @@ def cmd_upgrade(args) -> int:
     from . import release
 
     rel = _read_lockfile(args.lockfile)
-    report = release.upgrade_path(
-        rel, parse_version(args.from_toolchain), parse_version(args.to_toolchain)
-    )
-    if args.format == "json":
-        _emit_json(
-            {
-                "monotone": report.monotone,
-                "steps": [
-                    {
-                        "from": str(step.from_toolchain),
-                        "to": str(step.to_toolchain),
-                        "diff": _diff_payload(step.diff),
-                    }
-                    for step in report.steps
-                ],
-            }
-        )
-    else:
-        for step in report.steps:
-            print(f"step {step.from_toolchain} -> {step.to_toolchain}")
-            _print_diff(step.diff)
-        print(f"monotone: {'yes' if report.monotone else 'no'}")
+    start, end = parse_version(args.from_toolchain), parse_version(args.to_toolchain)
+    _emit(release.upgrade_path(rel, start, end), args.format)
     return EXIT_OK
 
 
@@ -406,12 +359,8 @@ def cmd_coordinate(args) -> int:
     from . import policy
 
     repo = _load_index(args)
-    _, reference = _pick_from_lockfile(args.reference, args.reference_toolchain)
-    report = policy.coordinate(repo, parse_version(args.rc), reference)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        print(report.to_markdown())
+    reference = _pick_from_lockfile(args.reference, args.reference_toolchain)
+    _emit(policy.coordinate(repo, parse_version(args.rc), reference), args.format)
     return EXIT_OK
 
 
@@ -421,29 +370,7 @@ def cmd_policy(args) -> int:
     repo = _load_index(args)
     names = args.package or sorted(repo.packages)
     reports = [policy.check_succession(repo, name) for name in names]
-    if args.format == "json":
-        _emit_json(
-            {
-                report.package: {
-                    "compliant": report.compliant,
-                    "pairs": [
-                        {
-                            "pair": [str(pair.lower), str(pair.upper)],
-                            "witness": None if pair.witness is None else str(pair.witness),
-                        }
-                        for pair in report.pairs
-                    ],
-                }
-                for report in reports
-            }
-        )
-    else:
-        for report in reports:
-            state = "ok" if report.compliant else "VIOLATION"
-            print(f"{report.package}: {state}")
-            for pair in report.pairs:
-                witness = pair.witness if pair.witness is not None else "none"
-                print(f"  {pair.lower} & {pair.upper}: {witness}")
+    _emit(reports, args.format)
     return EXIT_OK if all(report.compliant for report in reports) else EXIT_FAILURE
 
 
@@ -451,13 +378,9 @@ def cmd_smoke(args) -> int:
     from . import buildrun
 
     repo = _load_index(args)
-    _, pick = _pick_from_lockfile(args.lockfile, args.toolchain)
-    plan = buildrun.install_plan(repo, pick)
+    plan = buildrun.install_plan(repo, _pick_from_lockfile(args.lockfile, args.toolchain))
     report = buildrun.run_plan(plan, args.sandbox, max_parallel=args.jobs)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        print(report.to_text())
+    _emit(report, args.format)
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
@@ -465,8 +388,7 @@ def cmd_script(args) -> int:
     from . import buildrun
 
     repo = _load_index(args)
-    _, pick = _pick_from_lockfile(args.lockfile, args.toolchain)
-    plan = buildrun.install_plan(repo, pick)
+    plan = buildrun.install_plan(repo, _pick_from_lockfile(args.lockfile, args.toolchain))
     sys.stdout.write(buildrun.emit_install_script(plan))
     return EXIT_OK
 

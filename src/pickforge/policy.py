@@ -60,6 +60,21 @@ class SuccessionReport:
             return True
         return any(pair.witness is not None for pair in self.pairs)
 
+    def to_json_dict(self) -> dict:
+        """Keyed by the package, so the reports of several packages merge into one object."""
+        pairs = [
+            {"pair": [str(pair.lower), str(pair.upper)],
+             "witness": None if pair.witness is None else str(pair.witness)}
+            for pair in self.pairs
+        ]
+        return {self.package: {"compliant": self.compliant, "pairs": pairs}}
+
+    def to_text(self) -> str:
+        lines = [f"{self.package}: {'ok' if self.compliant else 'VIOLATION'}"]
+        lines += [f"  {pair.lower} & {pair.upper}: {'none' if pair.witness is None else pair.witness}"
+                  for pair in self.pairs]
+        return "\n".join(lines)
+
 
 def check_succession(repo: Repository, name: str) -> SuccessionReport:
     if name not in repo.packages:
@@ -111,6 +126,8 @@ class CoordinationReport:
             lines.append("")
         return "\n".join(lines)
 
+    to_text = to_markdown
+
     def to_json_dict(self) -> dict:
         return {
             "rc": str(self.rc),
@@ -148,47 +165,19 @@ def coordinate(repo: Repository, rc: Version, reference: Pick) -> CoordinationRe
     entries = []
     for name in sorted(reference.selected):
         maintainer = repo.manifest(name, reference.selected[name]).maintainer
+        status, version, ref = NONE_KNOWN, None, None
         released = compatible_versions(repo, name, rc, include_dev=False)
         if released:
-            entries.append(
-                CoordinationEntry(
-                    package=name,
-                    status=ALREADY_COMPATIBLE,
-                    version=released[0],
-                    source_ref=None,
-                    action=_ACTIONS[ALREADY_COMPATIBLE],
-                    maintainer=maintainer,
-                )
-            )
-            continue
-        dev_versions = [
-            version
-            for version in compatible_versions(repo, name, rc, include_dev=True)
-            if repo.packages[name][version].dev
-        ]
-        if dev_versions:
-            ref = repo.packages[name][dev_versions[0]].source_ref
-            entries.append(
-                CoordinationEntry(
-                    package=name,
-                    status=DEV_COMPATIBLE,
-                    version=dev_versions[0],
-                    source_ref=ref,
-                    action=_ACTIONS[DEV_COMPATIBLE].format(ref=ref),
-                    maintainer=maintainer,
-                )
-            )
-            continue
-        entries.append(
-            CoordinationEntry(
-                package=name,
-                status=NONE_KNOWN,
-                version=None,
-                source_ref=None,
-                action=_ACTIONS[NONE_KNOWN],
-                maintainer=maintainer,
-            )
-        )
+            status, version = ALREADY_COMPATIBLE, released[0]
+        else:
+            dev = [v for v in compatible_versions(repo, name, rc, include_dev=True)
+                   if repo.packages[name][v].dev]
+            if dev:
+                status, version = DEV_COMPATIBLE, dev[0]
+                ref = repo.packages[name][version].source_ref
+        entries.append(CoordinationEntry(
+            name, status, version, ref, _ACTIONS[status].format(ref=ref), maintainer
+        ))
     return CoordinationReport(rc=rc, entries=entries)
 
 

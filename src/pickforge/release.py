@@ -169,6 +169,23 @@ class PickDiff:
         self.downgraded: dict[str, tuple[Version, Version]] = {}
         self.unchanged: set[str] = set()
 
+    def to_json_dict(self) -> dict:
+        return {
+            "added": sorted(self.added),
+            "removed": sorted(self.removed),
+            "upgraded": {n: [str(a), str(b)] for n, (a, b) in sorted(self.upgraded.items())},
+            "downgraded": {n: [str(a), str(b)] for n, (a, b) in sorted(self.downgraded.items())},
+            "unchanged": sorted(self.unchanged),
+        }
+
+    def to_text(self) -> str:
+        lines = [f"  + {name}" for name in sorted(self.added)]
+        lines += [f"  - {name}" for name in sorted(self.removed)]
+        lines += [f"  ^ {n} {a} -> {b}" for n, (a, b) in sorted(self.upgraded.items())]
+        lines += [f"  v {n} {a} -> {b}" for n, (a, b) in sorted(self.downgraded.items())]
+        lines.append(f"  = {len(self.unchanged)} unchanged")
+        return "\n".join(lines)
+
 
 def diff_picks(a: Pick, b: Pick) -> PickDiff:
     diff = PickDiff()
@@ -208,6 +225,23 @@ class UpgradeReport:
     @property
     def monotone(self) -> bool:
         return all(not step.diff.removed for step in self.steps)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "monotone": self.monotone,
+            "steps": [
+                {"from": str(step.from_toolchain), "to": str(step.to_toolchain),
+                 "diff": step.diff.to_json_dict()}
+                for step in self.steps
+            ],
+        }
+
+    def to_text(self) -> str:
+        lines = []
+        for step in self.steps:
+            lines += [f"step {step.from_toolchain} -> {step.to_toolchain}", step.diff.to_text()]
+        lines.append(f"monotone: {'yes' if self.monotone else 'no'}")
+        return "\n".join(lines)
 
 
 def upgrade_path(release: Release, start: Version, end: Version) -> UpgradeReport:

@@ -144,6 +144,14 @@ class Pick:
             "excluded": dict(sorted(self.excluded.items())),
         }
 
+    def to_text(self) -> str:
+        lines = [f"pick for toolchain {self.toolchain} ({len(self.selected)} packages)"]
+        lines += [f"  {name} {self.selected[name]}" for name in sorted(self.selected)]
+        if self.excluded:
+            lines.append("excluded:")
+            lines += [f"  {name}: {self.excluded[name]}" for name in sorted(self.excluded)]
+        return "\n".join(lines)
+
 
 class UnsatReport(namedtuple("UnsatReport", "culprits narrative")):
     """Why no pick exists: a minimal conflicting subset of the mandatory set.
@@ -152,6 +160,12 @@ class UnsatReport(namedtuple("UnsatReport", "culprits narrative")):
     """
 
     __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return {"culprits": list(self.culprits), "narrative": list(self.narrative)}
+
+    def to_text(self) -> str:
+        return "\n".join(["no valid pick:", *(f"  {line}" for line in self.narrative)])
 
 
 # --- shared request plumbing --------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from conftest import (
+    GOLDEN_DIR,
     PLATFORM_FIXTURE,
     RELEASE_UNIVERSE_EXCLUDES,
     SMOKE_FIXTURE,
@@ -575,6 +576,32 @@ class TestEntrypoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["toolchain"] == "8.15"
 
+    def test_closed_stdout_ends_quietly_with_sigpipe_code(self):
+        # a reader that has gone, as in ``pickforge ... | head -0``
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pickforge.cli", "resolve",
+                 "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
+                 "--format", "json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=20,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_main_does_not_report_a_broken_pipe_as_an_io_error(self, monkeypatch, capsys):
+        def closed(_args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "cmd_resolve", closed)
+        with pytest.raises(BrokenPipeError):
+            main(["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15"])
+        assert capsys.readouterr().err == ""
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             ["pickforge", "resolve", "--index", str(PLATFORM_FIXTURE),
@@ -679,6 +706,53 @@ class TestJsonGoldens:
             "--from", "8.13", "--to", "8.15", "--format", "json",
         )
         assert out == (GOLDEN_DIR / "cli-upgrade-8.13-8.15.json").read_text()
+
+
+UNSAT_REQUEST = (
+    "--toolchain", "8.15", "--mandatory", "oldstone", "--mandatory", "reedmace",
+    "--mandatory", "emberwick",
+)
+
+
+class TestOutputGoldens:
+    """Every subcommand's rendering, pinned byte for byte with its exit code
+    and an empty stderr."""
+
+    def check(self, capsys, golden: str, code: int, *argv: str) -> None:
+        assert run_cli(capsys, *argv) == (code, (GOLDEN_DIR / golden).read_text(), "")
+
+    @pytest.mark.parametrize(
+        "golden, command, argv, code",
+        [
+            ("cli-resolve-8.15.txt", "resolve", ("--toolchain", "8.15"), EXIT_OK),
+            ("cli-resolve-unsat.txt", "resolve", UNSAT_REQUEST, EXIT_UNSAT),
+            ("cli-resolve-unsat.json", "resolve", (*UNSAT_REQUEST, "--format", "json"),
+             EXIT_UNSAT),
+            ("cli-policy.txt", "policy", (), EXIT_FAILURE),
+        ],
+    )
+    def test_index_ops(self, capsys, golden, command, argv, code):
+        self.check(capsys, golden, code, command, "--index", str(PLATFORM_FIXTURE), *argv)
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("cli-diff-8.15-8.12.txt", ("diff", "--from", "8.15", "--to", "8.12")),
+            ("cli-diff-8.15-8.12.json",
+             ("diff", "--from", "8.15", "--to", "8.12", "--format", "json")),
+            ("cli-upgrade-8.12-8.15.txt", ("upgrade", "--from", "8.12", "--to", "8.15")),
+        ],
+    )
+    def test_lockfile_ops(self, capsys, lockfile, golden, argv):
+        self.check(capsys, golden, EXIT_OK, *argv, "--lockfile", str(lockfile))
+
+    def test_smoke(self, capsys, tmp_path):
+        lock = TestSmokeAndScript().smoke_lockfile(tmp_path)
+        self.check(
+            capsys, "cli-smoke.txt", EXIT_FAILURE,
+            "smoke", "--index", str(SMOKE_FIXTURE), "--lockfile", str(lock),
+            "--sandbox", str(tmp_path / "box"), "--jobs", "2",
+        )
 
 
 class TestHttpIndexFlow:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from conftest import PLATFORM_FIXTURE, make_repo, mf
+from conftest import PLATFORM_FIXTURE, REPO_ROOT, make_repo, mf
 from pickforge import reference, solver
 from pickforge.index import (
     Repository,
@@ -766,3 +767,36 @@ def test_request_candidates_match_compatible_versions(platform_repo):
                             platform_repo, toolchain, include_dev, overrides, name
                         )
                     )
+
+
+# --- the committed stress generators ------------------------------------------
+
+# scripts/ is not a package, so the generators are loaded by path
+_spec = importlib.util.spec_from_file_location(
+    "solver_bench", REPO_ROOT / "scripts" / "solver_bench.py"
+)
+solver_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(solver_bench)
+
+
+class TestStressGenerators:
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_hub_resolves_to_its_planted_pick(self, k):
+        repo, request, planted = solver_bench.hub_instance(k)
+        pick = resolve_pick(repo, request)
+        assert {name: str(version) for name, version in pick.selected.items()} == planted
+        assert pick.excluded == {}
+
+    def test_small_conflicted_instances_match_the_reference(self):
+        rng = random.Random(2022)
+        for _ in range(100):
+            repo, request = solver_bench.conflicted_instance(rng, (4, 7))
+            assert resolve_pick(repo, request) == enumerate_best(repo, request)
+
+    @pytest.mark.parametrize("size", [10, 60])
+    def test_unsat_reports_its_planted_culprits(self, size):
+        repo, request, planted = solver_bench.unsat_instance(random.Random(1), size)
+        report = resolve_pick(repo, request)
+        assert isinstance(report, UnsatReport)
+        assert report.culprits == planted
+        assert len(request.mandatory) == size
