@@ -21,11 +21,12 @@ fresh checkout does: a working tree's stale bytecode is read even under
 
 Wall time is taken around the spawn and ``os.wait4``; CPU time is the
 child's user plus system time as ``wait4`` reports it.  The script prints
-each op's median per tree, the sum of those medians, and how many rounds
-each tree won, where a round's time is the sum over its ops and a tie
-counts for neither.  It exits 1 if an op failed its check under either
-tree, or if the trees' outputs for one op and round differ in any byte:
-exit code, stdout, stderr or the file the op writes.
+each op's median per tree, the sum of those medians, each tree's count of
+non-blank lines under ``pickforge/``, and how many rounds each tree won,
+where a round's time is the sum over its ops and a tie counts for neither.
+It exits 1 if an op failed its check under either tree, or if the trees'
+outputs for one op and round differ in any byte: exit code, stdout,
+stderr or the file the op writes.
 """
 
 from __future__ import annotations
@@ -92,6 +93,16 @@ def problem(op, outputs: tuple) -> str | None:
     if code != op.exit_code:
         return f"exit {code}, expected {op.exit_code}: {stderr.strip()[-200:]}"
     return op.check(stdout)
+
+
+def nonblank_lines(tree: str) -> int:
+    """Non-blank lines of the tree's ``pickforge/*.py``, the size ROADMAP tracks."""
+    return sum(
+        1
+        for path in (Path(tree) / "pickforge").glob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    )
 
 
 def change(a: float, b: float) -> str:
@@ -170,6 +181,8 @@ def main() -> int:
     print(f"{'sum':<28}" + "".join(
         f"{a * 1e3:9.1f}{b * 1e3:9.1f}{change(a, b):>10}" for a, b in sums
     ))
+    lines = [nonblank_lines(tree) for tree in trees]
+    print(f"{'non-blank source lines':<28}{lines[0]:9d}{lines[1]:9d}{change(*lines):>10}")
     print(f"rounds won, wall: A {won['wall'][0]}, B {won['wall'][1]}; "
           f"cpu: A {won['cpu'][0]}, B {won['cpu'][1]}")
     print(f"failed checks: A {failures[0]}, B {failures[1]}; "

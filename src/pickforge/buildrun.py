@@ -201,8 +201,7 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
     ``<sandbox>/logs`` (log contents are not part of the determinism
     contract, report statuses and exit codes are).
     """
-    # imported here: only smoke runs need them, and they are slow to import
-    import threading
+    # imported here: only smoke runs need it, and it is slow to import
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     if max_parallel < 1:
@@ -220,8 +219,9 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
     logs.mkdir()
 
     steps = {step.name: step for step in plan.steps}
+    # only this thread reads or writes outcomes, futures and pending; a
+    # worker reads nothing but its step, the plan and the sandbox paths
     outcomes: dict[str, StepResult] = {}
-    lock = threading.Lock()
 
     def runnable(name: str) -> bool:
         return all(
@@ -261,18 +261,17 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
         futures = {}
         while pending or futures:
             progressed = False
-            with lock:
-                for name in sorted(pending):
-                    if doomed(name):
-                        pending.discard(name)
-                        outcomes[name] = StepResult(
-                            name, steps[name].version, SKIPPED, None, None,
-                            f"logs/{name}-{steps[name].version}.log",
-                        )
-                        progressed = True
-                    elif name not in futures and runnable(name):
-                        futures[name] = pool.submit(execute, steps[name])
-                        progressed = True
+            for name in sorted(pending):
+                if doomed(name):
+                    pending.discard(name)
+                    outcomes[name] = StepResult(
+                        name, steps[name].version, SKIPPED, None, None,
+                        f"logs/{name}-{steps[name].version}.log",
+                    )
+                    progressed = True
+                elif name not in futures and runnable(name):
+                    futures[name] = pool.submit(execute, steps[name])
+                    progressed = True
             if not futures:
                 if not progressed:  # only possible for a malformed, cyclic plan
                     raise PickforgeError(
@@ -280,10 +279,9 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
                     )
                 continue
             done, _ = wait(set(futures.values()), return_when=FIRST_COMPLETED)
-            with lock:
-                for name in [n for n, f in futures.items() if f in done]:
-                    outcomes[name] = futures.pop(name).result()
-                    pending.discard(name)
+            for name in [n for n, f in futures.items() if f in done]:
+                outcomes[name] = futures.pop(name).result()
+                pending.discard(name)
 
     results = [outcomes[step.name] for step in plan.steps]
     return SmokeReport(toolchain=plan.toolchain, results=results)

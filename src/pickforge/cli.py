@@ -308,21 +308,21 @@ def cmd_release(args) -> int:
         picks.append(result)
     previous = _read_lockfile(args.previous) if args.previous else None
     if previous is not None and args.carry_previous:
-        covered = {str(pick.toolchain) for pick in picks}
-        picks.extend(
-            pick for pick in previous.picks if str(pick.toolchain) not in covered
-        )
+        covered = {pick.toolchain for pick in picks}
+        picks.extend(pick for pick in previous.picks if pick.toolchain not in covered)
     rel, warnings = release.assemble_release(
         parse_calendar_version(args.version), picks, previous=previous, repo=repo
     )
-    for warning in warnings:
-        print(f"pickforge: warning: {warning}", file=sys.stderr)
+    strict = previous is not None and args.strict_removals
+    if not strict:  # under --strict-removals the same removals are errors below
+        for warning in warnings:
+            print(f"pickforge: warning: {warning}", file=sys.stderr)
     data = release.write_lockfile(rel)
     if args.output == "-":
         sys.stdout.write(data.decode("utf-8"))
     else:
         Path(args.output).write_bytes(data)
-    if previous is not None and args.strict_removals:
+    if strict:
         from . import policy
 
         violations = policy.check_removals(previous, rel, repo)

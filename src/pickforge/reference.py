@@ -11,7 +11,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Repository, compatible_versions
+from .index import Repository
 from .solver import (Pick, SelectionRequest, UnsatReport, _build_pick, _unsat_report,
                      _validate_request)
 from .versioning import Version, compare_versions, satisfies
@@ -91,20 +91,6 @@ def verify_pick(repo: Repository, pick: Pick) -> list[PickViolation]:
                     )
                 )
     return violations
-
-
-def _candidate_versions(
-    repo: Repository,
-    toolchain: Version,
-    include_dev: bool,
-    overrides: dict[str, Version],
-    name: str,
-) -> tuple[Version, ...]:
-    """Selectable versions of a package, newest first.  Overrides pin exactly
-    one version and bypass the dev filter."""
-    if name in overrides:
-        return (overrides[name],)
-    return tuple(compatible_versions(repo, name, toolchain, include_dev))
 
 
 def _version_ranks(repo: Repository) -> dict[str, dict[Version, int]]:
@@ -196,17 +182,7 @@ def enumerate_best(
             )
 
         return _unsat_report(repo, req, sat)
-
-    def candidates(name: str) -> tuple[Version, ...]:
-        return _candidate_versions(repo, req.toolchain, req.include_dev, req.overrides, name)
-
-    def supported(name: str) -> bool:
-        return any(
-            satisfies(req.toolchain, manifest.toolchain)
-            for manifest in repo.packages[name].values()
-        )
-
-    return _build_pick(repo, req, best, candidates, supported)
+    return _build_pick(repo, req, best)
 
 
 def _enum_feasible(

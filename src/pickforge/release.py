@@ -106,10 +106,7 @@ def assemble_release(
     """
     if not picks:
         raise ReleaseError("a release needs at least one pick")
-    ordered = sorted(picks, key=lambda pick: pick.toolchain)
-    for a, b in zip(ordered, ordered[1:]):
-        if compare_versions(a.toolchain, b.toolchain) == 0:
-            raise ReleaseError(f"duplicate pick for toolchain {a.toolchain}")
+    ordered = _ordered_picks(picks, ReleaseError)
     predecessor = previous.version if previous is not None else None
     if predecessor is not None and not version > predecessor:
         raise ReleaseError(
@@ -128,6 +125,15 @@ def assemble_release(
                 )
             )
     return release, warnings
+
+
+def _ordered_picks(picks: list[Pick], error: type[PickforgeError]) -> list[Pick]:
+    """The picks in toolchain order; raises ``error`` if two share a toolchain."""
+    ordered = sorted(picks, key=lambda pick: pick.toolchain)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.toolchain == b.toolchain:
+            raise error(f"duplicate pick for toolchain {a.toolchain}")
+    return ordered
 
 
 def dropped_packages(
@@ -289,10 +295,7 @@ def read_lockfile(data: bytes) -> Release:
     if not isinstance(raw["picks"], list) or not raw["picks"]:
         raise LockfileError("field 'picks' must be a non-empty list")
     picks = [_read_pick(entry, f"picks[{i}]") for i, entry in enumerate(raw["picks"])]
-    ordered = sorted(picks, key=lambda pick: pick.toolchain)
-    for a, b in zip(ordered, ordered[1:]):
-        if compare_versions(a.toolchain, b.toolchain) == 0:
-            raise LockfileError(f"duplicate pick for toolchain {a.toolchain}")
+    ordered = _ordered_picks(picks, LockfileError)
     if predecessor is not None and not version > predecessor:
         raise LockfileError(
             f"field 'version': {version} must be greater than predecessor {predecessor}"

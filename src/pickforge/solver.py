@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Repository, UnknownPackageError
+from .index import Repository, UnknownPackageError, compatible_versions
 from .versioning import Constraint, Version, satisfies
 
 # names defined in ``reference``, which only tests and the build runner need
@@ -187,16 +187,21 @@ def _validate_request(repo: Repository, req: SelectionRequest) -> None:
             )
 
 
-def _build_pick(
-    repo: Repository, req: SelectionRequest, assignment: dict[str, Version], candidates, supported
-) -> Pick:
+def _request_versions(repo: Repository, req: SelectionRequest, name: str) -> list[Version]:
+    """The versions of a package the request admits, newest first: the
+    override's one pinned version, or those passing the toolchain and dev
+    filters."""
+    if name in req.overrides:
+        return [req.overrides[name]]
+    return compatible_versions(repo, name, req.toolchain, req.include_dev)
+
+
+def _build_pick(repo: Repository, req: SelectionRequest, assignment: dict[str, Version]) -> Pick:
     """The pick for an optimal assignment, with a reason for each optional
-    left out.  ``candidates(name)`` gives the versions the request's filter
-    admits, newest first and before any pruning; ``supported(name)`` tells
-    whether any version at all admits the request's toolchain."""
+    left out."""
     selected = {name: assignment[name] for name in sorted(assignment)}
     excluded = {
-        name: _exclusion_reason(repo, req, selected, name, candidates, supported)
+        name: _exclusion_reason(repo, req, selected, name)
         for name in sorted(req.optional)
         if name not in assignment
     }
@@ -204,21 +209,18 @@ def _build_pick(
 
 
 def _exclusion_reason(
-    repo: Repository,
-    req: SelectionRequest,
-    selected: dict[str, Version],
-    name: str,
-    candidates,
-    supported,
+    repo: Repository, req: SelectionRequest, selected: dict[str, Version], name: str
 ) -> str:
     """Deterministic explanation of why an optional package is not selected.
 
-    ``selected`` is in name order; ``candidates`` and ``supported`` are as
-    for ``_build_pick``.
+    ``selected`` is in name order.
     """
-    versions = candidates(name)
+    versions = _request_versions(repo, req, name)
     if not versions:
-        if supported(name):
+        if any(
+            satisfies(req.toolchain, manifest.toolchain)
+            for manifest in repo.packages[name].values()
+        ):
             return f"only development snapshots support toolchain {req.toolchain}"
         return f"no version supports toolchain {req.toolchain}"
     newest = versions[0]
@@ -234,7 +236,7 @@ def _exclusion_reason(
         if dep in selected and not satisfies(selected[dep], constraint):
             return f"requires {dep} {constraint} but {dep}={selected[dep]} is selected"
     for dep, _ in manifest.depends:
-        if dep not in selected and not candidates(dep):
+        if dep not in selected and not _request_versions(repo, req, dep):
             return f"requires {dep}, which has no version for toolchain {req.toolchain}"
     return "cannot be added without breaking the current selection"
 
@@ -345,14 +347,10 @@ class _CandidateTable:
                     blocked[other].add(c)
         self.blocked = [frozenset(b) for b in blocked]
 
-    def fits(self, toolchain: Version) -> list[bool]:
-        """Whether each constraint of ``toolchains`` admits the toolchain."""
-        return [satisfies(toolchain, constraint) for constraint in self.toolchains]
-
-    def candidates(self, req: SelectionRequest, fits: list[bool]) -> dict[str, tuple[int, ...]]:
+    def candidates(self, req: SelectionRequest) -> dict[str, tuple[int, ...]]:
         """Each package's selectable ids for a request, newest first: the
-        toolchain filter (``fits``, from ``self.fits(req.toolchain)``) and
-        the dev filter, or the override's one pinned version."""
+        toolchain and dev filters, or the override's one pinned version."""
+        fits = [satisfies(req.toolchain, constraint) for constraint in self.toolchains]
         admitted = [
             fits[k] and (req.include_dev or not dev) for k, dev in zip(self.toolchain_of, self.dev)
         ]
@@ -365,10 +363,8 @@ class _CandidateTable:
 class _SearchSpace:
     """One request's view of its repository's candidate table.
 
-    ``filtered[name]`` holds the ids the request admits, newest first, and
-    ``ids[name]`` the package's candidates: those less the ones pruned by
-    ``_prune_unmeetable``.  ``fits`` is the table's toolchain filter for
-    the request's toolchain.
+    ``ids[name]`` holds the package's candidates, newest first: the ids the
+    request admits, less the ones pruned by ``_prune_unmeetable``.
     ``versions``, ``requires`` and ``blocked`` are the table's, except that
     an override's id maps to the override's own version.  ``blocked[c]``
     may hold ids that are not candidates; the search reads it only for
@@ -380,10 +376,8 @@ class _SearchSpace:
     def __init__(self, repo: Repository, req: SelectionRequest):
         if repo.search_table is None:
             repo.search_table = _CandidateTable(repo)
-        table = self.table = repo.search_table
-        self.fits = table.fits(req.toolchain)
-        self.filtered = table.candidates(req, self.fits)
-        self.ids = dict(self.filtered)
+        table = repo.search_table
+        self.ids = table.candidates(req)
         self.versions = table.versions
         if req.overrides:
             self.versions = list(table.versions)
@@ -400,14 +394,6 @@ class _SearchSpace:
         # optionals that can never be selected are dropped from branching;
         # they contribute nothing to any selection's optional count
         self.live_optionals = tuple(o for o in sorted(req.optional) if self.ids[o])
-
-    def candidate_versions(self, name: str) -> tuple[Version, ...]:
-        """The versions the request's filter admits, newest first, unpruned."""
-        return tuple(self.versions[c] for c in self.filtered[name])
-
-    def supported(self, name: str) -> bool:
-        """Whether any version of the package admits the request's toolchain."""
-        return any(self.fits[self.table.toolchain_of[c]] for c in self.table.ids[name])
 
     def _prune_unmeetable(self, table: _CandidateTable) -> None:
         """Arc consistency over dependency edges: drop candidates with a
@@ -645,4 +631,4 @@ def resolve_pick(repo: Repository, req: SelectionRequest) -> Pick | UnsatReport:
         return _unsat_report(
             repo, req, lambda subset: _search(space, subset, ()) is not None
         )
-    return _build_pick(repo, req, best, space.candidate_versions, space.supported)
+    return _build_pick(repo, req, best)

@@ -24,6 +24,7 @@ and its rendering are computed once from them.  All functions are pure.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import eq, ge, gt, le, lt, ne
 
 from .errors import PickforgeError
 
@@ -83,10 +84,6 @@ class Version:
     def __repr__(self) -> str:
         return f"Version(segments={self.segments!r}, suffix={self.suffix!r})"
 
-    def _cmp(self, other: Version) -> int:
-        a, b = self._key, other._key
-        return EQ if a == b else LT if a < b else GT
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Version):
             return NotImplemented
@@ -110,7 +107,7 @@ class Version:
 
 def compare_versions(a: Version, b: Version) -> int:
     """Total order on versions; returns LT, EQ, or GT."""
-    return a._cmp(b)
+    return EQ if a == b else LT if a < b else GT
 
 
 def parse_version(text: str) -> Version:
@@ -224,20 +221,13 @@ def _scan_atom(text: str, pos: int) -> tuple[tuple[str, Version], int]:
     return (op, version), pos
 
 
-_OP_TESTS = {
-    "=": lambda c: c == EQ,
-    "!=": lambda c: c != EQ,
-    ">=": lambda c: c != LT,
-    ">": lambda c: c == GT,
-    "<=": lambda c: c != GT,
-    "<": lambda c: c == LT,
-}
+_OP_TESTS = {"=": eq, "!=": ne, ">=": ge, ">": gt, "<=": le, "<": lt}
 
 
 def satisfies(version: Version, constraint: Constraint) -> bool:
     """True iff some clause of the constraint holds for the version."""
     return any(
-        all(_OP_TESTS[op](compare_versions(version, bound)) for op, bound in clause)
+        all(_OP_TESTS[op](version, bound) for op, bound in clause)
         for clause in constraint.clauses
     )
 

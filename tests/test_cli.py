@@ -307,6 +307,37 @@ class TestRelease:
         assert len(payload["picks"]) == 4
         assert payload["predecessor"] == "2022.01.0"
 
+    def test_strict_removals_report_each_removal_once(self, capsys, tmp_path):
+        first = tmp_path / "first.lock.json"
+        run_cli(capsys, *release_args("--output", str(first)))
+        slim = [
+            "release", "--index", str(PLATFORM_FIXTURE),
+            "--version", "2022.06.0", "--optional", "aldergrove",
+            "--previous", str(first), "--output", str(tmp_path / "second.lock.json"),
+        ]
+        _, _, warned = run_cli(capsys, *slim)
+        code, _, err = run_cli(capsys, *slim, "--strict-removals")
+        assert code == EXIT_FAILURE
+        assert "warning" not in err
+        dropped = re.findall(r"package (\S+) was in release", warned)
+        assert re.findall(r"RemovalWithoutDeprecation: package (\S+)", err) == dropped
+        assert len(dropped) > 1
+
+    def test_carry_previous_matches_toolchains_by_value(self, capsys, tmp_path):
+        first = tmp_path / "first.lock.json"
+        run_cli(capsys, *release_args("--toolchain", "8.12", "--toolchain", "8.15",
+                                      "--output", str(first)))
+        second = tmp_path / "second.lock.json"
+        code, _, err = run_cli(
+            capsys,
+            "release", "--index", str(PLATFORM_FIXTURE),
+            "--version", "2022.06.0", "--toolchain", "8.15.0",
+            "--previous", str(first), "--carry-previous", "--output", str(second),
+        )
+        assert code == EXIT_OK, err
+        picks = json.loads(second.read_text())["picks"]
+        assert [pick["toolchain"] for pick in picks] == ["8.12", "8.15.0"]
+
 
 @pytest.fixture()
 def lockfile(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from conftest import PLATFORM_FIXTURE, REPO_ROOT, make_repo, mf
-from pickforge import reference, solver
+from pickforge import solver
 from pickforge.index import (
     Repository,
     UnknownPackageError,
@@ -351,45 +351,70 @@ class TestEnumerateBest:
         assert enumerate_best(repo, req) == Pick(toolchain=V("8.15"))
 
 
+# one case per branch of the exclusion reasons: (toolchains, manifests,
+# request arguments, the reasons both resolvers must give)
+EXCLUSION_REASONS = {
+    "no_version_for_toolchain": (
+        ["8.12", "8.15"],
+        [mf("a", "1.0", toolchain="<8.13")],
+        dict(optional={"a"}),
+        {"a": "no version supports toolchain 8.15"},
+    ),
+    "only_dev_snapshots": (
+        ["8.15"],
+        [mf("a", "1.0-dev", dev=True, source_ref="abc")],
+        dict(optional={"a"}),
+        {"a": "only development snapshots support toolchain 8.15"},
+    ),
+    "conflict_declared_by_the_excluded": (
+        ["8.15"],
+        [mf("a", "1.0"), mf("b", "1.0", conflicts=[("a", "*")])],
+        dict(optional={"a", "b"}),
+        {"b": "conflict with a=1.0"},
+    ),
+    "dependency_version_clash": (
+        ["8.15"],
+        [
+            mf("a", "1.0", depends=[("c", "=1.0")]),
+            mf("b", "1.0", depends=[("c", "=2.0")]),
+            mf("c", "1.0"),
+            mf("c", "2.0"),
+        ],
+        dict(mandatory={"b"}, optional={"a"}),
+        {"a": "requires c =1.0 but c=2.0 is selected"},
+    ),
+    "missing_dependency": (
+        ["8.12", "8.15"],
+        [mf("a", "1.0", depends=[("b", "*")]), mf("b", "1.0", toolchain="<8.13")],
+        dict(optional={"a"}),
+        {"a": "requires b, which has no version for toolchain 8.15"},
+    ),
+    "generic_fallback": (
+        ["8.15"],
+        [
+            mf("a", "1.0", depends=[("c", "*")]),
+            mf("b", "1.0"),
+            mf("c", "1.0", conflicts=[("b", "*")]),
+        ],
+        dict(mandatory={"b"}, optional={"a"}),
+        {"a": "cannot be added without breaking the current selection"},
+    ),
+    "override_text_differs_from_the_index": (
+        ["8.15"],
+        [mf("a", "1.0"), mf("a", "2.0"), mf("b", "1.0", conflicts=[("a", "<=1.0")])],
+        dict(mandatory={"b"}, optional={"a"}, overrides={"a": V("1.0.0")}),
+        {"a": "conflict with b=1.0"},
+    ),
+}
+
+
 class TestExclusionReasons:
-    def test_no_version_for_toolchain(self):
-        repo = make_repo(["8.12", "8.15"], [mf("a", "1.0", toolchain="<8.13")])
-        pick = resolve_pick(repo, SelectionRequest(toolchain=V("8.15"), optional={"a"}))
-        assert pick.excluded == {"a": "no version supports toolchain 8.15"}
-
-    def test_only_dev_snapshots(self):
-        repo = make_repo(
-            ["8.15"], [mf("a", "1.0-dev", dev=True, source_ref="abc")]
-        )
-        pick = resolve_pick(repo, SelectionRequest(toolchain=V("8.15"), optional={"a"}))
-        assert pick.excluded == {
-            "a": "only development snapshots support toolchain 8.15"
-        }
-
-    def test_missing_dependency_reason(self):
-        repo = make_repo(
-            ["8.12", "8.15"],
-            [mf("a", "1.0", depends=[("b", "*")]), mf("b", "1.0", toolchain="<8.13")],
-        )
-        pick = resolve_pick(repo, SelectionRequest(toolchain=V("8.15"), optional={"a"}))
-        assert pick.excluded == {
-            "a": "requires b, which has no version for toolchain 8.15"
-        }
-
-    def test_dependency_version_clash_reason(self):
-        repo = make_repo(
-            ["8.15"],
-            [
-                mf("a", "1.0", depends=[("c", "=1.0")]),
-                mf("b", "1.0", depends=[("c", "=2.0")]),
-                mf("c", "1.0"),
-                mf("c", "2.0"),
-            ],
-        )
-        pick = resolve_pick(
-            repo, SelectionRequest(toolchain=V("8.15"), mandatory={"b"}, optional={"a"})
-        )
-        assert pick.excluded == {"a": "requires c =1.0 but c=2.0 is selected"}
+    @pytest.mark.parametrize("resolver", [resolve_pick, enumerate_best])
+    @pytest.mark.parametrize("case", EXCLUSION_REASONS)
+    def test_reason(self, case, resolver):
+        toolchains, manifests, request, reasons = EXCLUSION_REASONS[case]
+        req = SelectionRequest(toolchain=V("8.15"), **request)
+        assert resolver(make_repo(toolchains, manifests), req).excluded == reasons
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -655,14 +680,7 @@ def test_one_table_serves_every_request_on_a_repository():
 def _plainly_pruned(repo: Repository, req: SelectionRequest) -> dict[str, list]:
     """Arc consistency the plain way: sweep every package until no version
     with a dependency that no kept version of its target satisfies is left."""
-    kept = {
-        name: list(
-            reference._candidate_versions(
-                repo, req.toolchain, req.include_dev, req.overrides, name
-            )
-        )
-        for name in repo.packages
-    }
+    kept = {name: solver._request_versions(repo, req, name) for name in repo.packages}
     changed = True
     while changed:
         changed = False
@@ -734,38 +752,26 @@ def test_later_toolchains_reuse_the_candidate_table(monkeypatch):
 
 
 def test_request_candidates_match_compatible_versions(platform_repo):
-    # _exclusion_reason reads these candidates under resolve_pick and
-    # _candidate_versions under enumerate_best, so the two must agree
+    # the search branches over the table's candidates, and exclusion reasons
+    # read _request_versions, so the two must admit the same versions
     table = solver._CandidateTable(platform_repo)
     for toolchain in platform_repo.toolchains:
-        fits = table.fits(toolchain)
-        space = solver._SearchSpace(platform_repo, SelectionRequest(toolchain=toolchain))
-        for name, manifests in platform_repo.packages.items():
-            assert space.supported(name) == any(
-                solver.satisfies(toolchain, manifest.toolchain) for manifest in manifests.values()
-            )
         for include_dev in (False, True):
-            ids = table.candidates(
-                SelectionRequest(toolchain=toolchain, include_dev=include_dev), fits
-            )
+            req = SelectionRequest(toolchain=toolchain, include_dev=include_dev)
+            ids = table.candidates(req)
             for name in platform_repo.packages:
                 got = [table.versions[c] for c in ids[name]]
                 assert got == compatible_versions(platform_repo, name, toolchain, include_dev)
+                assert got == solver._request_versions(platform_repo, req, name)
                 for version in platform_repo.versions(name):
-                    overrides = {name: version}
-                    pinned = table.candidates(
-                        SelectionRequest(
-                            toolchain=toolchain,
-                            optional={name},
-                            overrides=overrides,
-                            include_dev=include_dev,
-                        ),
-                        fits,
+                    pinned = SelectionRequest(
+                        toolchain=toolchain,
+                        optional={name},
+                        overrides={name: version},
+                        include_dev=include_dev,
                     )
-                    assert [table.versions[c] for c in pinned[name]] == list(
-                        reference._candidate_versions(
-                            platform_repo, toolchain, include_dev, overrides, name
-                        )
+                    assert [table.versions[c] for c in table.candidates(pinned)[name]] == (
+                        solver._request_versions(platform_repo, pinned, name)
                     )
 
 
