@@ -48,25 +48,23 @@ class InstallStep(namedtuple("InstallStep", "name version build_cmd smoke_cmd"))
     __slots__ = ()
 
 
-class InstallPlan:
+class InstallPlan(namedtuple("InstallPlan", "toolchain steps dependencies plan_digest")):
     """Topologically ordered build steps plus the dependency edges among them.
 
     ``plan_digest`` defaults to the SHA-256 of the plan's canonical JSON.
     """
 
-    __slots__ = ("toolchain", "steps", "dependencies", "plan_digest")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         toolchain: Version,
         steps: list[InstallStep],
         dependencies: dict[str, tuple[str, ...]],
         plan_digest: str = "",
     ):
-        self.toolchain = toolchain
-        self.steps = steps
-        self.dependencies = dependencies
-        self.plan_digest = plan_digest or _digest(self)
+        plan = super().__new__(cls, toolchain, steps, dependencies, plan_digest)
+        return plan if plan_digest else plan._replace(plan_digest=_digest(plan))
 
 
 def _digest(plan: InstallPlan) -> str:
@@ -119,15 +117,10 @@ def install_plan(repo: Repository, pick: Pick) -> InstallPlan:
             order.append(name)
             placed.add(name)
             remaining.discard(name)
-    steps = [
-        InstallStep(
-            name=name,
-            version=selected[name],
-            build_cmd=repo.packages[name][selected[name]].build_cmd,
-            smoke_cmd=repo.packages[name][selected[name]].smoke_cmd,
-        )
-        for name in order
-    ]
+    steps = []
+    for name in order:
+        manifest = repo.packages[name][selected[name]]
+        steps.append(InstallStep(name, selected[name], manifest.build_cmd, manifest.smoke_cmd))
     return InstallPlan(toolchain=pick.toolchain, steps=steps, dependencies=edges)
 
 
@@ -155,14 +148,10 @@ class StepResult(
     __slots__ = ()
 
 
-class SmokeReport:
+class SmokeReport(namedtuple("SmokeReport", "toolchain results")):
     """Per-step outcomes of one plan run; passes only when every step passed."""
 
-    __slots__ = ("toolchain", "results")
-
-    def __init__(self, toolchain: Version, results: list[StepResult]):
-        self.toolchain = toolchain
-        self.results = results
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

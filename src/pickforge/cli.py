@@ -5,9 +5,11 @@ resolution, 3 I/O or data errors, 64 usage errors.
 """
 
 # Start-up is most of an op's cost, so this module imports at top level
-# only the index, the solver and the version parsers, which most
-# subcommands run, and it reads options from its own table: ``argparse``
-# would cost every op its import and a parser for every subcommand.
+# only the index, the solver and the version parsers.  Only ``resolve`` and
+# ``release`` run the solver; every op loads it because ``Pick`` and the
+# request and unsat records live there.  Options come from this module's own
+# table: ``argparse`` would cost every op its import and a parser for every
+# subcommand.
 # A handler that needs ``release``, ``policy`` or ``buildrun`` imports it
 # itself and calls through the module attribute.
 

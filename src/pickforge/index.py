@@ -30,14 +30,7 @@ from pathlib import Path
 from stat import S_ISDIR, S_ISFIFO, S_ISREG
 
 from .errors import PickforgeError
-from .versioning import (
-    Constraint,
-    Version,
-    compare_versions,
-    parse_constraint,
-    parse_version,
-    satisfies,
-)
+from .versioning import Constraint, Version, parse_constraint, parse_version, satisfies
 
 # largest body one request may return, and largest index file a load
 # reads; a longer one fails the load
@@ -153,7 +146,7 @@ def validate_repository(repo: Repository) -> list[ValidationIssue]:
     """Return every invariant violation; an empty list means the repository is valid."""
     issues: list[ValidationIssue] = []
     for prev, cur in zip(repo.toolchains, repo.toolchains[1:]):
-        if compare_versions(prev, cur) >= 0:
+        if prev >= cur:
             issues.append(
                 ValidationIssue(
                     UNORDERED_TOOLCHAINS,
@@ -174,7 +167,7 @@ def _manifest_issues(
     # each message formats its own "{name} {version}" label, since nearly
     # every manifest reports no issue at all
     issues = []
-    if manifest.name != name or compare_versions(manifest.version, version) != 0:
+    if manifest.name != name or manifest.version != version:
         issues.append(
             ValidationIssue(
                 KEY_MISMATCH,

@@ -17,9 +17,13 @@ from collections import namedtuple
 
 from .errors import PickforgeError
 from .index import Repository, UnknownPackageError, compatible_versions
-from .release import Release, dropped_packages
 from .solver import Pick
-from .versioning import Version, compare_versions, satisfies
+from .versioning import Version, satisfies
+
+# type checkers read this name as true; ``typing`` is not imported for it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .release import Release
 
 ALREADY_COMPATIBLE = "AlreadyCompatible"
 DEV_COMPATIBLE = "DevCompatible"
@@ -44,14 +48,10 @@ class SuccessionPair(namedtuple("SuccessionPair", "lower upper witness")):
     __slots__ = ()
 
 
-class SuccessionReport:
+class SuccessionReport(namedtuple("SuccessionReport", "package pairs")):
     """Per consecutive toolchain pair, a released version spanning both, if any."""
 
-    __slots__ = ("package", "pairs")
-
-    def __init__(self, package: str, pairs: list[SuccessionPair]):
-        self.package = package
-        self.pairs = pairs
+    __slots__ = ()
 
     @property
     def compliant(self) -> bool:
@@ -104,14 +104,10 @@ class CoordinationEntry(
     __slots__ = ()
 
 
-class CoordinationReport:
+class CoordinationReport(namedtuple("CoordinationReport", "rc entries")):
     """Per-package compatibility status against a release candidate toolchain."""
 
-    __slots__ = ("rc", "entries")
-
-    def __init__(self, rc: Version, entries: list[CoordinationEntry]):
-        self.rc = rc
-        self.entries = entries
+    __slots__ = ()
 
     def to_markdown(self) -> str:
         lines = [f"# Coordination report for release candidate {self.rc}", ""]
@@ -158,7 +154,7 @@ def coordinate(repo: Repository, rc: Version, reference: Pick) -> CoordinationRe
     Released compatibility wins over dev-snapshot compatibility; the action
     text tells the maintainer what, if anything, is needed.
     """
-    if compare_versions(rc, reference.toolchain) == 0:
+    if rc == reference.toolchain:
         raise PolicyError(
             f"release candidate {rc} is the reference pick's own toolchain"
         )
@@ -192,6 +188,8 @@ def check_removals(
     previous: Release, candidate: Release, repo: Repository | None = None
 ) -> list[PolicyViolation]:
     """Flag packages dropped from the candidate release without prior deprecation."""
+    from .release import dropped_packages
+
     if candidate.predecessor is None or candidate.predecessor != previous.version:
         raise PolicyError(
             f"candidate predecessor {candidate.predecessor} does not match "

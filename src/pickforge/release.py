@@ -26,13 +26,7 @@ from collections import namedtuple
 from .errors import PickforgeError
 from .index import Repository, parse_json
 from .solver import Pick
-from .versioning import (
-    CalendarVersion,
-    Version,
-    compare_versions,
-    parse_calendar_version,
-    parse_version,
-)
+from .versioning import CalendarVersion, Version, parse_calendar_version, parse_version
 
 
 class ReleaseError(PickforgeError):
@@ -43,37 +37,14 @@ class LockfileError(PickforgeError):
     """A lockfile does not match the schema; names the offending field."""
 
 
-class Release:
+class Release(namedtuple("Release", "version picks predecessor", defaults=(None,))):
     """Several picks, at most one per toolchain, under one calendar version."""
 
-    __slots__ = ("version", "picks", "predecessor")
-
-    def __init__(
-        self,
-        version: CalendarVersion,
-        picks: list[Pick],
-        predecessor: CalendarVersion | None = None,
-    ):
-        self.version = version
-        self.picks = picks
-        self.predecessor = predecessor
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.version, self.picks, self.predecessor) == (
-            other.version, other.picks, other.predecessor
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Release(version={self.version!r}, picks={self.picks!r}, "
-            f"predecessor={self.predecessor!r})"
-        )
+    __slots__ = ()
 
     def pick_for(self, toolchain: Version) -> Pick:
         for pick in self.picks:
-            if compare_versions(pick.toolchain, toolchain) == 0:
+            if pick.toolchain == toolchain:
                 return pick
         raise ReleaseError(f"release {self.version} has no pick for toolchain {toolchain}")
 
@@ -159,21 +130,14 @@ def dropped_packages(
     return dropped
 
 
-class PickDiff:
+class PickDiff(namedtuple("PickDiff", "added removed upgraded downgraded unchanged")):
     """Partition of the union of two picks' selected names.
 
     ``added``, ``removed`` and ``unchanged`` are sets of names;
     ``upgraded`` and ``downgraded`` map names to (old, new) versions.
     """
 
-    __slots__ = ("added", "removed", "upgraded", "downgraded", "unchanged")
-
-    def __init__(self):
-        self.added: set[str] = set()
-        self.removed: set[str] = set()
-        self.upgraded: dict[str, tuple[Version, Version]] = {}
-        self.downgraded: dict[str, tuple[Version, Version]] = {}
-        self.unchanged: set[str] = set()
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,39 +158,29 @@ class PickDiff:
 
 
 def diff_picks(a: Pick, b: Pick) -> PickDiff:
-    diff = PickDiff()
+    diff = PickDiff(set(), set(), {}, {}, set())
     for name in set(a.selected) | set(b.selected):
         if name not in a.selected:
             diff.added.add(name)
         elif name not in b.selected:
             diff.removed.add(name)
+        elif a.selected[name] < b.selected[name]:
+            diff.upgraded[name] = (a.selected[name], b.selected[name])
+        elif a.selected[name] > b.selected[name]:
+            diff.downgraded[name] = (a.selected[name], b.selected[name])
         else:
-            order = compare_versions(a.selected[name], b.selected[name])
-            if order < 0:
-                diff.upgraded[name] = (a.selected[name], b.selected[name])
-            elif order > 0:
-                diff.downgraded[name] = (a.selected[name], b.selected[name])
-            else:
-                diff.unchanged.add(name)
+            diff.unchanged.add(name)
     return diff
 
 
-class UpgradeStep:
-    __slots__ = ("from_toolchain", "to_toolchain", "diff")
-
-    def __init__(self, from_toolchain: Version, to_toolchain: Version, diff: PickDiff):
-        self.from_toolchain = from_toolchain
-        self.to_toolchain = to_toolchain
-        self.diff = diff
+class UpgradeStep(namedtuple("UpgradeStep", "from_toolchain to_toolchain diff")):
+    __slots__ = ()
 
 
-class UpgradeReport:
+class UpgradeReport(namedtuple("UpgradeReport", "steps")):
     """Stepwise path through every intermediate toolchain of a release."""
 
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: list[UpgradeStep]):
-        self.steps = steps
+    __slots__ = ()
 
     @property
     def monotone(self) -> bool:
@@ -254,23 +208,18 @@ def upgrade_path(release: Release, start: Version, end: Version) -> UpgradeRepor
     """One step per consecutive toolchain pair of the release between the endpoints."""
     toolchains = release.toolchains()
     try:
-        i = next(n for n, t in enumerate(toolchains) if compare_versions(t, start) == 0)
-        j = next(n for n, t in enumerate(toolchains) if compare_versions(t, end) == 0)
-    except StopIteration:
+        i, j = toolchains.index(start), toolchains.index(end)
+    except ValueError:
         raise ReleaseError(
             f"release {release.version} does not cover both {start} and {end}"
         ) from None
     if i >= j:
         raise ReleaseError(f"upgrade endpoints must be increasing, got {start} -> {end}")
-    steps = [
-        UpgradeStep(
-            from_toolchain=toolchains[n],
-            to_toolchain=toolchains[n + 1],
-            diff=diff_picks(release.picks[n], release.picks[n + 1]),
-        )
+    picks = release.picks
+    return UpgradeReport([
+        UpgradeStep(toolchains[n], toolchains[n + 1], diff_picks(picks[n], picks[n + 1]))
         for n in range(i, j)
-    ]
-    return UpgradeReport(steps=steps)
+    ])
 
 
 # --- lockfile serialization ---------------------------------------------------

@@ -64,77 +64,55 @@ class OverrideError(PickforgeError):
     """An override pins a version that cannot be used."""
 
 
-class SelectionRequest:
+class SelectionRequest(
+    namedtuple("SelectionRequest", "toolchain mandatory optional overrides include_dev")
+):
     """What to resolve: a toolchain plus mandatory and optional package sets.
 
     ``mandatory`` and ``optional`` are stored as frozensets and
     ``overrides`` (name -> pinned version) as a copy.
     """
 
-    __slots__ = ("toolchain", "mandatory", "optional", "overrides", "include_dev")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         toolchain: Version,
         mandatory: frozenset[str] = frozenset(),
         optional: frozenset[str] = frozenset(),
         overrides: dict[str, Version] | None = None,
         include_dev: bool = False,
     ):
-        self.toolchain = toolchain
-        self.mandatory = frozenset(mandatory)
-        self.optional = frozenset(optional)
-        self.overrides = {} if overrides is None else dict(overrides)
-        self.include_dev = include_dev
-        overlap = self.mandatory & self.optional
+        mandatory, optional = frozenset(mandatory), frozenset(optional)
+        overrides = {} if overrides is None else dict(overrides)
+        overlap = mandatory & optional
         if overlap:
             raise ValueError(
                 f"packages cannot be both mandatory and optional: {', '.join(sorted(overlap))}"
             )
-        stray = set(self.overrides) - (self.mandatory | self.optional)
+        stray = set(overrides) - (mandatory | optional)
         if stray:
-            raise ValueError(
-                f"override targets outside the request: {', '.join(sorted(stray))}"
-            )
-
-    def __repr__(self) -> str:
-        return (
-            f"SelectionRequest(toolchain={self.toolchain!r}, mandatory={self.mandatory!r}, "
-            f"optional={self.optional!r}, overrides={self.overrides!r}, "
-            f"include_dev={self.include_dev!r})"
-        )
+            raise ValueError(f"override targets outside the request: {', '.join(sorted(stray))}")
+        return super().__new__(cls, toolchain, mandatory, optional, overrides, include_dev)
 
 
-class Pick:
+class Pick(namedtuple("Pick", "toolchain selected excluded")):
     """A resolved selection for one toolchain, with reasons for exclusions.
 
     ``selected`` maps names to versions and ``excluded`` names to reasons.
     """
 
-    __slots__ = ("toolchain", "selected", "excluded")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         toolchain: Version,
         selected: dict[str, Version] | None = None,
         excluded: dict[str, str] | None = None,
     ):
-        self.toolchain = toolchain
-        self.selected = {} if selected is None else selected
-        self.excluded = {} if excluded is None else excluded
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.toolchain, self.selected, self.excluded) == (
-            other.toolchain, other.selected, other.excluded
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Pick(toolchain={self.toolchain!r}, selected={self.selected!r}, "
-            f"excluded={self.excluded!r})"
-        )
+        selected = {} if selected is None else selected
+        excluded = {} if excluded is None else excluded
+        return super().__new__(cls, toolchain, selected, excluded)
 
     def to_json_dict(self) -> dict:
         """JSON-ready form of the pick, as lockfiles and ``resolve --format json`` hold it."""

@@ -170,16 +170,15 @@ def releases(draw) -> Release:
     )
     release_picks = []
     for text in sorted(toolchain_texts, key=parse_version):
-        pick = draw(picks())
-        pick.toolchain = parse_version(text)
+        pick = draw(picks())._replace(toolchain=parse_version(text))
         if draw(st.booleans()):
-            pick.excluded = {
+            pick = pick._replace(excluded={
                 name: f"conflict with {name}"
                 for name in draw(
                     st.lists(st.sampled_from(["x", "y", "z"]), max_size=2, unique=True)
                 )
                 if name not in pick.selected
-            }
+            })
         release_picks.append(pick)
     version = draw(calendar_versions)
     predecessor = draw(st.none() | calendar_versions.filter(lambda c: c < version))

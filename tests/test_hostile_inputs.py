@@ -1,6 +1,8 @@
 """Property test: a broken index file or lockfile ends every op in a result or
 a named error with a documented exit code, never in a traceback, and the op
-writes nothing outside its output and cache directories.
+writes nothing outside its output and cache directories.  ``smoke`` builds in
+a sandbox under the output directory; a mutation that would hand it a shell
+command other than the fixture's ``true`` is not run.
 
 In the manner of QuickCheck (Claessen & Hughes, ICFP 2000), Hypothesis
 mutates one file of a copy of ``fixtures/platform``, or a lockfile that
@@ -18,7 +20,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import PLATFORM_FIXTURE
 from pickforge import cli
@@ -190,22 +192,42 @@ def _argv(root, op: str) -> list[str]:
         "coordinate": ["coordinate", *index, "--rc", "8.15", "--reference", lockfile,
                        "--reference-toolchain", "8.14"],
         "script": ["script", *index, "--lockfile", lockfile],
+        "smoke": ["smoke", *index, "--lockfile", lockfile, "--jobs", "2",
+                  "--sandbox", str(root / "out" / "sandbox")],
         "diff": ["diff", "--lockfile", lockfile, "--from", "8.13", "--to", "8.15"],
         "upgrade": ["upgrade", "--lockfile", lockfile, "--from", "8.12", "--to", "8.15"],
     }[op]
 
 
+def _sets_a_command(data: bytes) -> bool:
+    """Whether a mutated index file holds a build or smoke command other than
+    the fixture's ``true``; ``smoke`` would run it in a shell."""
+    try:
+        _, slots = _nodes(json.loads(data))
+    except (ValueError, RecursionError):
+        return False
+    return any(
+        key in ("build_cmd", "smoke_cmd") and container[key] != "true"
+        for container, key in slots
+    )
+
+
 def _run_mutated(root, target, mutation, op: str) -> None:
     """Run ``op`` with the file at ``target`` mutated, then restore the file
-    and empty the output directory."""
+    and empty the output directory, where ``smoke`` keeps its sandbox."""
     original = target.read_bytes()
-    target.write_bytes(mutate(original, mutation))
+    mutated = mutate(original, mutation)
+    assume(op != "smoke" or not _sets_a_command(mutated))
+    target.write_bytes(mutated)
     try:
         run_op(_argv(root, op), writable=(str(root / "out"), str(root / "cache")))
     finally:
         target.write_bytes(original)
         for entry in (root / "out").iterdir():
-            entry.unlink()
+            if entry.is_dir():
+                shutil.rmtree(entry)
+            else:
+                entry.unlink()
 
 
 _INDEX_FILES = sorted(
@@ -217,11 +239,13 @@ _INDEX_FILES = sorted(
 @given(
     relpath=st.sampled_from(_INDEX_FILES),
     mutation=MUTATIONS,
-    op=st.sampled_from(["resolve", "release", "policy", "coordinate", "script"]),
+    op=st.sampled_from(["resolve", "release", "policy", "coordinate", "script", "smoke"]),
 )
 @example(relpath="index.json", mutation=NESTED_1000_DEEP, op="resolve")
 @example(relpath="packages/aldergrove/2.0.json", mutation=NESTED_100000_DEEP, op="release")
 @example(relpath="packages/aldergrove/versions.json", mutation=NESTED_100000_DEEP, op="script")
+# a new maintainer leaves the index valid, so smoke runs every step
+@example(relpath="packages/aldergrove/2.0.json", mutation=("retype", 5, "x"), op="smoke")
 def test_mutated_index_file(workspace, relpath, mutation, op):
     _run_mutated(workspace, workspace / "index" / relpath, mutation, op)
 
@@ -229,7 +253,7 @@ def test_mutated_index_file(workspace, relpath, mutation, op):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(
     mutation=MUTATIONS,
-    op=st.sampled_from(["diff", "upgrade", "release", "coordinate", "script"]),
+    op=st.sampled_from(["diff", "upgrade", "release", "coordinate", "script", "smoke"]),
 )
 @example(mutation=NESTED_1000_DEEP, op="diff")
 @example(mutation=NESTED_100000_DEEP, op="diff")

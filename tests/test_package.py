@@ -186,6 +186,12 @@ class TestImportBudget:
         assert codes == [0, 0, 2]
         assert not loaded & {"pickforge.reference", "pickforge.mirror"}
 
+    def test_policy_loads_no_lockfile_module(self):
+        codes, loaded = loaded_after(["policy", "--index", str(PLATFORM_FIXTURE)])
+        assert codes == [1]
+        assert "pickforge.policy" in loaded
+        assert "pickforge.release" not in loaded
+
     def test_json_resolve_loads_no_lockfile_module(self):
         codes, loaded = loaded_after(
             ["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
