@@ -21,9 +21,10 @@ fresh checkout does: a working tree's stale bytecode is read even under
 
 Wall time is taken around the spawn and ``os.wait4``; CPU time is the
 child's user plus system time as ``wait4`` reports it.  The script prints
-each op's median per tree, the sum of those medians, each tree's count of
-non-blank lines under ``pickforge/``, and how many rounds each tree won,
-where a round's time is the sum over its ops and a tie counts for neither.
+each op's median per tree and how many rounds each tree won on that op,
+the sum of those medians, each tree's count of non-blank lines under
+``pickforge/``, and how many rounds each tree won over all ops, where a
+round's time is the sum over its ops.  A tie counts for neither tree.
 It exits 1 if an op failed its check under either tree, or if the trees'
 outputs for one op and round differ in any byte: exit code, stdout,
 stderr or the file the op writes.
@@ -109,6 +110,11 @@ def change(a: float, b: float) -> str:
     return f"{(b / a - 1) * 100:+6.1f} %" if a else "   n/a"
 
 
+def wins(a: list[float], b: list[float]) -> str:
+    """Rounds won by each tree, as "A:B", over paired times; ties count for neither."""
+    return f"{sum(x < y for x, y in zip(a, b))}:{sum(y < x for x, y in zip(a, b))}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", required=True, help="first src tree (holds pickforge/)")
@@ -167,8 +173,8 @@ def main() -> int:
 
     print(f"{args.workload}, seed {args.seed}: {args.rounds} rounds of {len(ops)} ops")
     print(f"A = {trees[0]}\nB = {trees[1]}")
-    print(f"{'op (medians, ms)':<28}{'wall A':>9}{'wall B':>9}{'B vs A':>10}"
-          f"{'cpu A':>9}{'cpu B':>9}{'B vs A':>10}")
+    print(f"{'op (medians, ms)':<28}{'wall A':>9}{'wall B':>9}{'B vs A':>10}{'won A:B':>9}"
+          f"{'cpu A':>9}{'cpu B':>9}{'B vs A':>10}{'won A:B':>9}")
     sums = [[0.0, 0.0], [0.0, 0.0]]
     for i, op in enumerate(ops):
         row = []
@@ -176,10 +182,11 @@ def main() -> int:
             a, b = (statistics.median(times[side][i]) for side in (0, 1))
             sums[metric][0] += a
             sums[metric][1] += b
-            row.append(f"{a * 1e3:9.1f}{b * 1e3:9.1f}{change(a, b):>10}")
+            row.append(f"{a * 1e3:9.1f}{b * 1e3:9.1f}{change(a, b):>10}"
+                       f"{wins(times[0][i], times[1][i]):>9}")
         print(f"{op.label:<28}{''.join(row)}")
     print(f"{'sum':<28}" + "".join(
-        f"{a * 1e3:9.1f}{b * 1e3:9.1f}{change(a, b):>10}" for a, b in sums
+        f"{a * 1e3:9.1f}{b * 1e3:9.1f}{change(a, b):>10}{'':9}" for a, b in sums
     ))
     lines = [nonblank_lines(tree) for tree in trees]
     print(f"{'non-blank source lines':<28}{lines[0]:9d}{lines[1]:9d}{change(*lines):>10}")

@@ -13,7 +13,7 @@ _EXPORTS = {
     "buildrun": ("InstallPlan", "SmokeReport", "emit_install_script", "install_plan", "run_plan"),
     "errors": ("PickforgeError",),
     "index": (
-        "PackageManifest", "Repository", "compatible_versions", "load_repository",
+        "PackageManifest", "Pick", "Repository", "compatible_versions", "load_repository",
         "validate_repository",
     ),
     "policy": (
@@ -25,7 +25,7 @@ _EXPORTS = {
         "PickDiff", "Release", "UpgradeReport", "assemble_release", "diff_picks",
         "read_lockfile", "upgrade_path", "write_lockfile",
     ),
-    "solver": ("Pick", "SelectionRequest", "UnsatReport", "resolve_pick"),
+    "solver": ("SelectionRequest", "UnsatReport", "resolve_pick"),
     "versioning": (
         "CalendarVersion", "Constraint", "Version", "compare_versions",
         "parse_calendar_version", "parse_constraint", "parse_version", "satisfies",

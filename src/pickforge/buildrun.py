@@ -19,9 +19,8 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import PickforgeError
-from .index import Repository
+from .index import Pick, Repository
 from .reference import verify_pick
-from .solver import Pick
 from .versioning import Version
 
 BUILD_FAILED = "BuildFailed"

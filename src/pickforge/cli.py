@@ -5,13 +5,12 @@ resolution, 3 I/O or data errors, 64 usage errors.
 """
 
 # Start-up is most of an op's cost, so this module imports at top level
-# only the index, the solver and the version parsers.  Only ``resolve`` and
-# ``release`` run the solver; every op loads it because ``Pick`` and the
-# request and unsat records live there.  Options come from this module's own
-# table: ``argparse`` would cost every op its import and a parser for every
-# subcommand.
-# A handler that needs ``release``, ``policy`` or ``buildrun`` imports it
-# itself and calls through the module attribute.
+# only the index, which holds ``Pick``, and the version parsers.  Options
+# come from this module's own table: ``argparse`` would cost every op its
+# import and a parser for every subcommand.
+# A handler that needs ``solver``, ``release``, ``policy`` or ``buildrun``
+# imports it itself and calls through the module attribute; only
+# ``resolve`` and ``release`` load the solver.
 
 from __future__ import annotations
 
@@ -22,16 +21,15 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import solver
 from .errors import PickforgeError
-from .index import Repository, load_repository, read_file
-from .solver import Pick, SelectionRequest, UnsatReport
+from .index import Pick, Repository, load_repository, read_file
 from .versioning import parse_calendar_version, parse_version
 
 # type checkers read this name as true; ``typing`` is not imported for it
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .release import Release
+    from .solver import SelectionRequest
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -274,11 +272,13 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
+    from . import solver
+
     mandatory = frozenset(args.mandatory)
     optional = frozenset(args.optional)
     if not mandatory and not optional:
         optional = frozenset(repo.packages)
-    return SelectionRequest(
+    return solver.SelectionRequest(
         toolchain=parse_version(toolchain_text),
         mandatory=mandatory,
         optional=optional,
@@ -288,21 +288,23 @@ def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
 
 
 def cmd_resolve(args) -> int:
+    from . import solver
+
     repo = _load_index(args)
     result = solver.resolve_pick(repo, _request(repo, args, args.toolchain))
     _emit(result, args.format)
-    return EXIT_UNSAT if isinstance(result, UnsatReport) else EXIT_OK
+    return EXIT_UNSAT if isinstance(result, solver.UnsatReport) else EXIT_OK
 
 
 def cmd_release(args) -> int:
-    from . import release
+    from . import release, solver
 
     repo = _load_index(args)
     toolchains = args.toolchain or [str(t) for t in repo.toolchains]
     picks = []
     for toolchain_text in toolchains:
         result = solver.resolve_pick(repo, _request(repo, args, toolchain_text))
-        if isinstance(result, UnsatReport):
+        if isinstance(result, solver.UnsatReport):
             print(f"pickforge: toolchain {toolchain_text} is unsatisfiable:", file=sys.stderr)
             for line in result.narrative:
                 print(f"  {line}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Package repository: manifest loading, validation, and queries.
+"""Package repository: manifest loading, validation, queries, and ``Pick``.
 
 On-disk layout of an index (local directory or HTTP base URL):
 
@@ -8,9 +8,10 @@ On-disk layout of an index (local directory or HTTP base URL):
 
 ``versions.json`` exists so that an HTTP source is enumerable without
 directory listings; local loads fall back to scanning the directory when
-it is absent.  HTTP sources are copied by ``mirror`` into a cache
-directory keyed by the content digest of ``index.json`` and loaded from
-there.
+it is absent.  ``_load`` is the one walker of this layout.  It reads a
+directory through ``read_file``, and an HTTP source through ``mirror``,
+which caches the copy, keyed by the digest of ``index.json``, only once
+the index has loaded and validated.
 
 Every index file is read whole by ``read_file``, without blocking, and
 must be a regular file of at most ``FETCH_MAX_BYTES``, the cap an HTTP body
@@ -132,6 +133,42 @@ class Repository:
         return sorted(self.packages[name], reverse=True)
 
 
+class Pick(namedtuple("Pick", "toolchain selected excluded")):
+    """A resolved selection for one toolchain, with reasons for exclusions.
+
+    ``selected`` maps names to versions and ``excluded`` names to reasons.
+    It lives here so that the ops that do not resolve load no ``solver``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        toolchain: Version,
+        selected: dict[str, Version] | None = None,
+        excluded: dict[str, str] | None = None,
+    ):
+        selected = {} if selected is None else selected
+        excluded = {} if excluded is None else excluded
+        return super().__new__(cls, toolchain, selected, excluded)
+
+    def to_json_dict(self) -> dict:
+        """JSON-ready form of the pick, as lockfiles and ``resolve --format json`` hold it."""
+        return {
+            "toolchain": str(self.toolchain),
+            "selected": {name: str(version) for name, version in sorted(self.selected.items())},
+            "excluded": dict(sorted(self.excluded.items())),
+        }
+
+    def to_text(self) -> str:
+        lines = [f"pick for toolchain {self.toolchain} ({len(self.selected)} packages)"]
+        lines += [f"  {name} {self.selected[name]}" for name in sorted(self.selected)]
+        if self.excluded:
+            lines.append("excluded:")
+            lines += [f"  {name}: {self.excluded[name]}" for name in sorted(self.excluded)]
+        return "\n".join(lines)
+
+
 class ValidationIssue(namedtuple("ValidationIssue", "kind package detail")):
     """``package`` is None for an issue of the index as a whole."""
 
@@ -226,17 +263,10 @@ def load_repository(source: str | Path, cache_dir: str | Path | None = None) -> 
     """
     text = str(source)
     if text.startswith("http://") or text.startswith("https://"):
-        from .mirror import mirror_http_source
+        from .mirror import load_http_source
 
-        root = mirror_http_source(text.rstrip("/"), cache_dir)
-    else:
-        root = Path(source)
-    repo = _load_local(str(root))
-    issues = validate_repository(repo)
-    if issues:
-        summary = "; ".join(str(issue) for issue in issues[:5])
-        raise RepositoryError(f"invalid repository at {source}: {summary}")
-    return repo
+        return load_http_source(text, cache_dir)
+    return _load(str(Path(source)), read_file, source)
 
 
 def parse_json(data: bytes, context: str, error: type[PickforgeError] = RepositoryError):
@@ -254,41 +284,27 @@ def parse_json(data: bytes, context: str, error: type[PickforgeError] = Reposito
         raise error(f"{context}: invalid JSON ({exc})") from exc
 
 
-def _version_list(data: bytes, context: str, versions) -> list[str]:
-    """The texts a ``versions.json`` lists, each one parsed by ``versions``."""
-    listed = parse_json(data, context)
-    if not isinstance(listed, list) or not all(isinstance(v, str) for v in listed):
-        raise RepositoryError(f"{context}: expected a list of version strings")
-    # a version that parses is digits, dots and a tag: safe in a path
-    for i, text in enumerate(listed):
-        _parse_field(text, versions, context, f"[{i}]")
-    return listed
-
-
-def _index_package_names(index, context: str) -> list[str]:
+def _load(root: str, read, source: str | Path) -> Repository:
+    """The validated repository under ``root``, a directory or an HTTP base
+    URL.  ``read(path)`` returns an index file, where ``path`` joins ``root``
+    and the file's place in the layout with "/"; errors name that path."""
+    index_path = os.path.join(root, "index.json")
+    try:
+        index = parse_json(read(index_path), index_path)
+    except OSError:
+        raise RepositoryError(f"unreachable source: no index.json under {root}") from None
     if not isinstance(index, dict):
-        raise RepositoryError(f"{context}: expected an object")
+        raise RepositoryError(f"{index_path}: expected an object")
     for key in ("toolchains", "packages"):
         if key not in index:
-            raise RepositoryError(f"{context}: missing field {key!r}")
+            raise RepositoryError(f"{index_path}: missing field {key!r}")
     names = index["packages"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise RepositoryError(f"{context}: field 'packages' must be a list of names")
+        raise RepositoryError(f"{index_path}: field 'packages' must be a list of names")
     # names become path components, so check them before any path is built
     for name in names:
         if not _NAME_RE.fullmatch(name):
-            raise RepositoryError(f"{context}: invalid package name {name!r}")
-    return names
-
-
-def _load_local(root: str) -> Repository:
-    index_path = os.path.join(root, "index.json")
-    try:
-        index_bytes = read_file(index_path)
-    except OSError:
-        raise RepositoryError(f"unreachable source: no index.json under {root}") from None
-    index = parse_json(index_bytes, index_path)
-    names = _index_package_names(index, index_path)
+            raise RepositoryError(f"{index_path}: invalid package name {name!r}")
     toolchains_raw = index["toolchains"]
     if not isinstance(toolchains_raw, list) or not all(isinstance(t, str) for t in toolchains_raw):
         raise RepositoryError(f"{index_path}: field 'toolchains' must be a list of versions")
@@ -305,10 +321,15 @@ def _load_local(root: str) -> Repository:
     for name in names:
         if name in packages:
             raise RepositoryError(f"{index_path}: duplicate package name {name!r}")
-        packages[name] = _load_package_dir(
-            os.path.join(root, "packages", name), name, versions, constraints
+        packages[name] = _load_package(
+            os.path.join(root, "packages", name), name, read, versions, constraints
         )
-    return Repository(toolchains=toolchains, packages=packages)
+    repo = Repository(toolchains=toolchains, packages=packages)
+    issues = validate_repository(repo)
+    if issues:
+        summary = "; ".join(str(issue) for issue in issues[:5])
+        raise RepositoryError(f"invalid repository at {source}: {summary}")
+    return repo
 
 
 def read_file(
@@ -343,14 +364,15 @@ def read_file(
     return b"".join(chunks)
 
 
-def _load_package_dir(
-    pkg_dir: str, name: str, versions, constraints
+def _load_package(
+    pkg_dir: str, name: str, read, versions, constraints
 ) -> dict[Version, PackageManifest]:
-    """``versions`` and ``constraints`` are the load's memoised parsers."""
+    """``read``, ``versions`` and ``constraints`` are the load's reader and memoised parsers."""
     listing = os.path.join(pkg_dir, "versions.json")
     try:
-        stems = _version_list(read_file(listing), listing, versions)
+        stems = parse_json(read(listing), listing)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        # only a local reader raises these; an HTTP one raises RepositoryError
         if not os.path.isdir(pkg_dir):
             raise RepositoryError(f"missing package directory {pkg_dir}") from None
         stems = sorted(
@@ -358,11 +380,17 @@ def _load_package_dir(
             for entry in os.listdir(pkg_dir)
             if entry.endswith(".json") and entry != "versions.json"
         )
+    else:
+        if not isinstance(stems, list) or not all(isinstance(v, str) for v in stems):
+            raise RepositoryError(f"{listing}: expected a list of version strings")
+        # a version that parses is digits, dots and a tag: safe in a path
+        for i, text in enumerate(stems):
+            _parse_field(text, versions, listing, f"[{i}]")
     manifests: dict[Version, PackageManifest] = {}
     for stem in stems:
         path = os.path.join(pkg_dir, f"{stem}.json")
         try:
-            data = read_file(path)
+            data = read(path)
         except OSError:
             raise RepositoryError(
                 f"{listing}: listed version {stem!r} has no manifest file"

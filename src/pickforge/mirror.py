@@ -1,4 +1,4 @@
-"""Copying an HTTP index into the local cache, where it loads as a directory.
+"""Fetching an HTTP index through ``index._load``, and caching its copy.
 
 ``index.load_repository`` imports this module only for an ``http://`` or
 ``https://`` source.  Every body is capped at ``index.FETCH_MAX_BYTES``.
@@ -15,8 +15,7 @@ import urllib.request
 from pathlib import Path
 
 from . import index
-from .index import RepositoryError, _index_package_names, _version_list, parse_json
-from .versioning import parse_version
+from .index import Repository, RepositoryError
 
 CACHE_ENV_VAR = "PICKFORGE_CACHE"
 
@@ -47,34 +46,34 @@ def _fetch(url: str) -> bytes:
     return data
 
 
-def mirror_http_source(base_url: str, cache_dir: str | Path | None) -> Path:
-    """The local copy of the index at ``base_url``, named by the digest of its
-    ``index.json``: an unchanged index is served from it after one fetch.
-
-    ``cache_dir`` defaults to ``$PICKFORGE_CACHE``, then
-    ``$XDG_CACHE_HOME/pickforge``, then ``~/.cache/pickforge``.
-    """
+def load_http_source(source: str, cache_dir: str | Path | None) -> Repository:
+    """The repository at the base URL ``source``: the cache entry named by the
+    digest of its ``index.json`` if there is one, else the index fetched whole
+    and cached once it has validated.  ``cache_dir`` defaults to
+    ``$PICKFORGE_CACHE``, then ``$XDG_CACHE_HOME/pickforge``, then ``~/.cache/pickforge``."""
+    base_url = source.rstrip("/")
     cache_dir = _resolve_cache_dir(cache_dir)
     index_bytes = _fetch(f"{base_url}/index.json")
     digest = hashlib.sha256(index_bytes).hexdigest()[:16]
     mirror = cache_dir / digest
     if mirror.is_dir():
-        return mirror
+        return index._load(str(mirror), index.read_file, source)
     cache_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{digest}-", dir=cache_dir))
+
+    def read(url: str) -> bytes:
+        # the walker checks names and versions first, so no copy leaves staging
+        data = index_bytes if url == f"{base_url}/index.json" else _fetch(url)
+        copy = staging / url[len(base_url) + 1 :]
+        try:
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            copy.write_bytes(data)
+        except OSError as exc:
+            raise RepositoryError(f"cannot cache {url}: {exc}") from exc
+        return data
+
     try:
-        (staging / "index.json").write_bytes(index_bytes)
-        raw_index = parse_json(index_bytes, f"{base_url}/index.json")
-        for name in _index_package_names(raw_index, f"{base_url}/index.json"):
-            listing_url = f"{base_url}/packages/{name}/versions.json"
-            versions_bytes = _fetch(listing_url)
-            listed = _version_list(versions_bytes, listing_url, parse_version)
-            pkg_dir = staging / "packages" / name
-            pkg_dir.mkdir(parents=True)
-            (pkg_dir / "versions.json").write_bytes(versions_bytes)
-            for version_text in listed:
-                manifest_bytes = _fetch(f"{base_url}/packages/{name}/{version_text}.json")
-                (pkg_dir / f"{version_text}.json").write_bytes(manifest_bytes)
+        repo = index._load(base_url, read, source)
         try:
             staging.rename(mirror)
         except OSError:
@@ -84,4 +83,4 @@ def mirror_http_source(base_url: str, cache_dir: str | Path | None) -> Path:
     except Exception:
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    return mirror
+    return repo

@@ -16,8 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Repository, UnknownPackageError, compatible_versions
-from .solver import Pick
+from .index import Pick, Repository, UnknownPackageError, compatible_versions
 from .versioning import Version, satisfies
 
 # type checkers read this name as true; ``typing`` is not imported for it

@@ -1,8 +1,9 @@
 """The exhaustive reference resolver and the pick verifier: the ground truth
 that tests hold ``solver.resolve_pick`` to.  Neither reads the resolver's
 tables or runs its search; ``enumerate_best`` shares only its request checks
-and its pick and unsat-report texts.  Of the CLI ops, only ``smoke`` and
-``script`` load this module, to verify the pick they install.
+and its pick and unsat-report texts, imported from ``solver`` when it runs.
+Of the CLI ops, only ``smoke`` and ``script`` load this module, to verify
+the pick they install, and ``verify_pick`` loads no solver.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ import itertools
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Repository
-from .solver import (Pick, SelectionRequest, UnsatReport, _build_pick, _unsat_report,
-                     _validate_request)
+from .index import Pick, Repository
 from .versioning import Version, compare_versions, satisfies
+
+# type checkers read this name as true; ``typing`` is not imported for it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .solver import SelectionRequest, UnsatReport
 
 # verify_pick violation kinds
 SELECTION_OVERLAP = "SelectionOverlap"
@@ -131,6 +135,8 @@ def enumerate_best(
     tested.  Refuses (never approximates) when the assignment space exceeds
     ``limit``.
     """
+    from .solver import _build_pick, _unsat_report, _validate_request
+
     _validate_request(repo, req)
     space_size = 1
     for name in repo.packages:

@@ -24,8 +24,7 @@ import json
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Repository, parse_json
-from .solver import Pick
+from .index import Pick, Repository, parse_json
 from .versioning import CalendarVersion, Version, parse_calendar_version, parse_version
 
 

@@ -37,10 +37,11 @@ repository beyond that cached table.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Repository, UnknownPackageError, compatible_versions
+from .index import Pick, Repository, UnknownPackageError
 from .versioning import Constraint, Version, satisfies
 
 # names defined in ``reference``, which only tests and the build runner need
@@ -96,41 +97,6 @@ class SelectionRequest(
         return super().__new__(cls, toolchain, mandatory, optional, overrides, include_dev)
 
 
-class Pick(namedtuple("Pick", "toolchain selected excluded")):
-    """A resolved selection for one toolchain, with reasons for exclusions.
-
-    ``selected`` maps names to versions and ``excluded`` names to reasons.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        toolchain: Version,
-        selected: dict[str, Version] | None = None,
-        excluded: dict[str, str] | None = None,
-    ):
-        selected = {} if selected is None else selected
-        excluded = {} if excluded is None else excluded
-        return super().__new__(cls, toolchain, selected, excluded)
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready form of the pick, as lockfiles and ``resolve --format json`` hold it."""
-        return {
-            "toolchain": str(self.toolchain),
-            "selected": {name: str(version) for name, version in sorted(self.selected.items())},
-            "excluded": dict(sorted(self.excluded.items())),
-        }
-
-    def to_text(self) -> str:
-        lines = [f"pick for toolchain {self.toolchain} ({len(self.selected)} packages)"]
-        lines += [f"  {name} {self.selected[name]}" for name in sorted(self.selected)]
-        if self.excluded:
-            lines.append("excluded:")
-            lines += [f"  {name}: {self.excluded[name]}" for name in sorted(self.excluded)]
-        return "\n".join(lines)
-
-
 class UnsatReport(namedtuple("UnsatReport", "culprits narrative")):
     """Why no pick exists: a minimal conflicting subset of the mandatory set.
 
@@ -165,21 +131,32 @@ def _validate_request(repo: Repository, req: SelectionRequest) -> None:
             )
 
 
-def _request_versions(repo: Repository, req: SelectionRequest, name: str) -> list[Version]:
-    """The versions of a package the request admits, newest first: the
-    override's one pinned version, or those passing the toolchain and dev
-    filters."""
+def _request_versions(
+    repo: Repository, req: SelectionRequest, name: str, supports=None
+) -> list[Version]:
+    """The versions of a package the request admits, newest first: an
+    override's one version, or those ``compatible_versions`` admits, with
+    ``supports(constraint)`` testing the request's toolchain against each."""
     if name in req.overrides:
         return [req.overrides[name]]
-    return compatible_versions(repo, name, req.toolchain, req.include_dev)
+    if supports is None:
+        supports = functools.partial(satisfies, req.toolchain)
+    return [
+        version
+        for version in repo.versions(name)
+        if supports(repo.packages[name][version].toolchain)
+        and (req.include_dev or not repo.packages[name][version].dev)
+    ]
 
 
 def _build_pick(repo: Repository, req: SelectionRequest, assignment: dict[str, Version]) -> Pick:
     """The pick for an optimal assignment, with a reason for each optional
     left out."""
     selected = {name: assignment[name] for name in sorted(assignment)}
+    # manifests share few toolchain constraints: a build tests each one once
+    supports = functools.cache(functools.partial(satisfies, req.toolchain))
     excluded = {
-        name: _exclusion_reason(repo, req, selected, name)
+        name: _exclusion_reason(repo, req, selected, name, supports)
         for name in sorted(req.optional)
         if name not in assignment
     }
@@ -187,18 +164,15 @@ def _build_pick(repo: Repository, req: SelectionRequest, assignment: dict[str, V
 
 
 def _exclusion_reason(
-    repo: Repository, req: SelectionRequest, selected: dict[str, Version], name: str
+    repo: Repository, req: SelectionRequest, selected: dict[str, Version], name: str, supports
 ) -> str:
     """Deterministic explanation of why an optional package is not selected.
 
-    ``selected`` is in name order.
+    ``selected`` is in name order; ``supports`` is as for ``_request_versions``.
     """
-    versions = _request_versions(repo, req, name)
+    versions = _request_versions(repo, req, name, supports)
     if not versions:
-        if any(
-            satisfies(req.toolchain, manifest.toolchain)
-            for manifest in repo.packages[name].values()
-        ):
+        if any(supports(manifest.toolchain) for manifest in repo.packages[name].values()):
             return f"only development snapshots support toolchain {req.toolchain}"
         return f"no version supports toolchain {req.toolchain}"
     newest = versions[0]
@@ -214,7 +188,7 @@ def _exclusion_reason(
         if dep in selected and not satisfies(selected[dep], constraint):
             return f"requires {dep} {constraint} but {dep}={selected[dep]} is selected"
     for dep, _ in manifest.depends:
-        if dep not in selected and not _request_versions(repo, req, dep):
+        if dep not in selected and not _request_versions(repo, req, dep, supports):
             return f"requires {dep}, which has no version for toolchain {req.toolchain}"
     return "cannot be added without breaking the current selection"
 

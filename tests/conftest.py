@@ -139,17 +139,24 @@ class CountingHandler(http.server.SimpleHTTPRequestHandler):
         pass
 
 
+def start_server(directory: Path) -> tuple[http.server.ThreadingHTTPServer, str]:
+    """A server of ``directory`` on localhost, running in a thread, and its
+    base URL; the caller shuts it down."""
+    handler = partial(CountingHandler, directory=str(directory))
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_address[1]}"
+
+
 @pytest.fixture()
 def serve_index():
     """Serve a directory over localhost HTTP; yields (make_url, request_log)."""
     servers = []
 
     def start(directory: Path) -> str:
-        handler = partial(CountingHandler, directory=str(directory))
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        server, url = start_server(directory)
         servers.append(server)
-        return f"http://127.0.0.1:{server.server_address[1]}"
+        return url
 
     CountingHandler.requests = []
     yield start, CountingHandler.requests

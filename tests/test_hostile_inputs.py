@@ -4,6 +4,10 @@ writes nothing outside its output and cache directories.  ``smoke`` builds in
 a sandbox under the output directory; a mutation that would hand it a shell
 command other than the fixture's ``true`` is not run.
 
+Each mutated index is also served over localhost HTTP and the op run again
+on its URL, with a fresh cache directory: it must end as the local run did,
+and the cache must hold a copy only if the index loads.
+
 In the manner of QuickCheck (Claessen & Hughes, ICFP 2000), Hypothesis
 mutates one file of a copy of ``fixtures/platform``, or a lockfile that
 ``release`` wrote, and runs one CLI op in process on it.
@@ -17,17 +21,19 @@ import json
 import os
 import shutil
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
-from conftest import PLATFORM_FIXTURE
+from conftest import PLATFORM_FIXTURE, start_server
 from pickforge import cli
+from pickforge.index import RepositoryError, load_repository
 
 # every module an op may import, loaded now, so that no op imports (and
 # perhaps writes bytecode for) one while its writes are recorded
-from pickforge import buildrun, policy, release  # noqa: F401
+from pickforge import buildrun, mirror, policy, release, solver  # noqa: F401
 
 DOCUMENTED_EXIT_CODES = {
     cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_UNSAT, cli.EXIT_IO, cli.EXIT_USAGE,
@@ -51,10 +57,16 @@ def _record_writes(event: str, args: tuple) -> None:
         return
     if event == "open":
         paths = args[:1] if args[2] & _WRITE_FLAGS else ()
+    elif event in ("os.remove", "os.rmdir") and args[1] != -1:
+        # relative to a directory descriptor, as ``shutil.rmtree`` removes
+        # each entry of a tree; its own event names the tree
+        return
     else:
         paths = args[: _CHANGE_EVENTS.get(event, 0)]
     _writes.extend(
-        os.path.abspath(os.fsdecode(path)) for path in paths if isinstance(path, (str, bytes))
+        os.path.abspath(os.fsdecode(path))
+        for path in paths
+        if isinstance(path, (str, bytes, os.PathLike))
     )
 
 
@@ -62,14 +74,15 @@ def _record_writes(event: str, args: tuple) -> None:
 sys.addaudithook(_record_writes)
 
 
-def run_op(argv: list[str], writable: tuple[str, ...]) -> None:
+def run_op(argv: list[str], writable: tuple[str, ...]) -> tuple[int, str]:
     """Run ``cli.main(argv)`` and check its exit code, its stderr and the paths
-    it wrote, which must all lie under one of the ``writable`` directories."""
+    it wrote, which must all lie under one of the ``writable`` directories.
+    Returns the exit code and stdout."""
     global _writes
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     _writes = []
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
@@ -81,6 +94,7 @@ def run_op(argv: list[str], writable: tuple[str, ...]) -> None:
     assert [
         path for path in written if not any(path.startswith(d + os.sep) for d in writable)
     ] == []
+    return code, out.getvalue()
 
 
 # --- mutations ---------------------------------------------------------------
@@ -180,8 +194,18 @@ def workspace(tmp_path_factory):
     return root
 
 
-def _argv(root, op: str) -> list[str]:
-    index = ["--index", str(root / "index"), "--cache-dir", str(root / "cache")]
+@pytest.fixture(scope="module")
+def index_url(workspace):
+    """The workspace's index, mutations included, served over localhost HTTP."""
+    server, url = start_server(workspace / "index")
+    yield url
+    server.shutdown()
+
+
+def _argv(root, op: str, source: str | None = None, cache: Path | None = None) -> list[str]:
+    """``op``'s arguments, on the local index and cache unless ``source`` and
+    ``cache`` name others."""
+    index = ["--index", source or str(root / "index"), "--cache-dir", str(cache or root / "cache")]
     lockfile = str(root / "lock" / "pickforge.lock.json")
     return {
         "resolve": ["resolve", *index, "--toolchain", "8.15"],
@@ -212,22 +236,47 @@ def _sets_a_command(data: bytes) -> bool:
     )
 
 
-def _run_mutated(root, target, mutation, op: str) -> None:
+def _empty(directory: Path) -> None:
+    for entry in directory.iterdir():
+        if entry.is_dir():
+            shutil.rmtree(entry)
+        else:
+            entry.unlink()
+
+
+def _run_mutated(root, target, mutation, op: str, url: str | None = None) -> None:
     """Run ``op`` with the file at ``target`` mutated, then restore the file
-    and empty the output directory, where ``smoke`` keeps its sandbox."""
+    and empty the output directory, where ``smoke`` keeps its sandbox.
+
+    With ``url``, the base URL of the served index, run ``op`` once more on
+    it with an empty cache directory: it must end with the local run's exit
+    code and stdout, and leave one cache entry if the index loads, else none.
+    """
     original = target.read_bytes()
     mutated = mutate(original, mutation)
     assume(op != "smoke" or not _sets_a_command(mutated))
     target.write_bytes(mutated)
     try:
-        run_op(_argv(root, op), writable=(str(root / "out"), str(root / "cache")))
+        local = run_op(_argv(root, op), writable=(str(root / "out"), str(root / "cache")))
+        if url is None:
+            return
+        _empty(root / "out")
+        shutil.rmtree(root / "http", ignore_errors=True)
+        (root / "http").mkdir()
+        cache = root / "http" / "cache"  # the op makes it
+        writable = (str(root / "out"), str(root / "http"))
+        served = run_op(_argv(root, op, url, cache), writable)
+        assert served == local
+        try:
+            load_repository(root / "index")
+            loads = True
+        except RepositoryError:
+            loads = False
+        # nothing but the one validated copy: no staging directory either
+        assert len(list(cache.iterdir()) if cache.is_dir() else []) == loads
     finally:
         target.write_bytes(original)
-        for entry in (root / "out").iterdir():
-            if entry.is_dir():
-                shutil.rmtree(entry)
-            else:
-                entry.unlink()
+        _empty(root / "out")
 
 
 _INDEX_FILES = sorted(
@@ -246,8 +295,12 @@ _INDEX_FILES = sorted(
 @example(relpath="packages/aldergrove/versions.json", mutation=NESTED_100000_DEEP, op="script")
 # a new maintainer leaves the index valid, so smoke runs every step
 @example(relpath="packages/aldergrove/2.0.json", mutation=("retype", 5, "x"), op="smoke")
-def test_mutated_index_file(workspace, relpath, mutation, op):
-    _run_mutated(workspace, workspace / "index" / relpath, mutation, op)
+# a manifest that does not parse, and an index that drops a package others
+# depend on: over HTTP neither may leave a cache entry
+@example(relpath="packages/aldergrove/2.0.json", mutation=("truncate", 5, None), op="resolve")
+@example(relpath="index.json", mutation=("drop", 2, 0), op="policy")
+def test_mutated_index_file(workspace, index_url, relpath, mutation, op):
+    _run_mutated(workspace, workspace / "index" / relpath, mutation, op, index_url)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -468,6 +468,36 @@ class TestHttpIngestion:
             load_repository(url, cache_dir=cache)
         assert not any(p for p in cache.glob("*") if p.is_dir())
 
+    @pytest.mark.parametrize("broken", ["malformed-manifest", "dangling-dependency"])
+    def test_failed_load_is_not_cached(self, serve_index, tmp_path, broken):
+        # the index is mended without a change to index.json, so a copy of
+        # the broken one left in the cache would be served from then on
+        start, _ = serve_index
+        source = tmp_path / "src"
+        source.mkdir()
+        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
+        manifest = source / "packages" / "alpha" / "1.0.json"
+        good = manifest.read_bytes()
+        url = start(source)
+        if broken == "malformed-manifest":
+            manifest.write_bytes(good[:-1])
+            expected = f"{url}/packages/alpha/1.0.json: invalid JSON ("
+        else:
+            manifest.write_text(json.dumps(raw_manifest("alpha", "1.0", depends=[["ghost", "*"]])))
+            expected = (
+                f"invalid repository at {url}: "
+                "DanglingDependency: alpha: alpha 1.0 depends on absent package ghost"
+            )
+        cache = tmp_path / "cache"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(url, cache_dir=cache)
+        assert str(exc.value).startswith(expected)
+        assert list(cache.iterdir()) == []
+        manifest.write_bytes(good)
+        repo = load_repository(url, cache_dir=cache)
+        assert len(repo.packages["alpha"]) == 1
+        assert len(list(cache.iterdir())) == 1
+
     @pytest.mark.parametrize("hostile", ["name", "version"])
     def test_hostile_listing_writes_nothing_outside_cache(self, serve_index, tmp_path, hostile):
         start, _ = serve_index

@@ -10,15 +10,23 @@ next test cases", HKUST-CS98-01, 1998).  For a pick:
 - (b) dropping an excluded optional that has no override keeps ``selected``;
 - (c) pinning every requested selected package to its version by override
   keeps ``selected``;
+- (d) adding a conflict, or a dependency on a requested package, to a
+  version outside the selection keeps ``selected``: the edge only shrinks
+  the feasible set, and the optimum stays in it;
 - (e) adding a package that no manifest or request names keeps the result.
 
 For an unsatisfiable request, (e) holds as well, and (f) resolving the
 culprits alone, with the other override targets as optionals as acceptance
-criterion 2 does, gives the same culprits.
+criterion 2 does, gives the same culprits; making any other package
+mandatory keeps the request unsatisfiable, with the old culprits an
+unsatisfiable subset of the grown mandatory set.
 
 (b) leaves out an optional with an override: the override goes with it, and
 the pin it lifts can let a dependency reach that package at another version
-(``test_dropping_an_override_can_change_the_pick``).
+(``test_dropping_an_override_can_change_the_pick``).  (d) leaves out a
+dependency on a package that nothing requests: the edge can justify that
+package, and a selection that holds it can then win the tie-break
+(``test_a_dependency_on_an_unrequested_package_can_change_the_pick``).
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from hypothesis import strategies as st
 from conftest import REPO_ROOT, make_repo, mf
 from pickforge.index import Repository
 from pickforge.solver import SelectionRequest, UnsatReport, resolve_pick
-from pickforge.versioning import parse_version
+from pickforge.versioning import parse_constraint, parse_version
 
 # scripts/ is not a package, so the generators are loaded by path
 _spec = importlib.util.spec_from_file_location(
@@ -43,6 +51,9 @@ solver_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(solver_bench)
 
 SPACE_CAP = 30_000
+# versions outside the selection that (d) edits, and packages that (f) makes
+# mandatory, per instance
+EDITS_PER_INSTANCE = 2
 # no generator names a package with this name
 UNNAMED = "zz-unnamed"
 
@@ -59,6 +70,22 @@ def _with_unnamed_package(repo: Repository) -> Repository:
     extra = mf(UNNAMED, "1.0", depends=[(names[0], "*")], conflicts=[(names[-1], "*")])
     packages = dict(repo.packages, **{UNNAMED: {extra.version: extra}})
     return Repository(toolchains=repo.toolchains, packages=packages)
+
+
+def _with_edge(repo: Repository, name: str, version, field: str, target: str,
+               constraint: str) -> Repository:
+    """``repo`` with one more ``depends`` or ``conflicts`` edge on one version."""
+    manifest = repo.packages[name][version]
+    edge = (target, parse_constraint(constraint))
+    by_version = dict(repo.packages[name])
+    by_version[version] = manifest._replace(**{field: (*getattr(manifest, field), edge)})
+    packages = dict(repo.packages, **{name: by_version})
+    return Repository(toolchains=repo.toolchains, packages=packages)
+
+
+def _spread(items: list, count: int = EDITS_PER_INSTANCE) -> list:
+    """At most ``count`` of ``items``, evenly spaced from the first."""
+    return items[:: max(1, len(items) // count)][:count]
 
 
 def check_relations(repo: Repository, req: SelectionRequest, checks: Counter) -> list[str]:
@@ -79,6 +106,10 @@ def check_relations(repo: Repository, req: SelectionRequest, checks: Counter) ->
             req, mandatory=culprits, optional=frozenset(req.overrides) - culprits
         ))
         expect("(f)", getattr(alone, "culprits", alone), result.culprits, "culprits alone")
+        for name in _spread(sorted(repo.packages.keys() - req.mandatory)):
+            grown = _changed(req, mandatory=req.mandatory | {name}, optional=req.optional - {name})
+            unsat = isinstance(resolve_pick(repo, grown), UnsatReport)
+            expect("(f)", unsat and culprits <= grown.mandatory, True, f"{name} mandatory")
         return failed
     selected = result.selected
     for name in sorted(req.optional & selected.keys()):
@@ -91,6 +122,27 @@ def check_relations(repo: Repository, req: SelectionRequest, checks: Counter) ->
     pins = {name: selected[name] for name in sorted(requested)}
     changed = _changed(req, overrides={**req.overrides, **pins})
     expect("(c)", resolve_pick(repo, changed).selected, selected, "selection pinned")
+    outside = [
+        (name, version)
+        for name in sorted(repo.packages)
+        for version in sorted(repo.packages[name])
+        if selected.get(name) != version
+    ]
+    for name, version in _spread(outside):
+        manifest = repo.packages[name][version]
+        for field, others, constraint in (
+            # a conflict with a selected package bites the most
+            ("conflicts", [*sorted(selected), *sorted(repo.packages)], lambda other: "*"),
+            ("depends", sorted(req.mandatory | req.optional),
+             lambda other: f"!={selected[other]}" if other in selected else "*"),
+        ):
+            edged = {target for target, _ in getattr(manifest, field)}
+            other = next((o for o in others if o != name and o not in edged), None)
+            if other is None:
+                continue
+            changed_repo = _with_edge(repo, name, version, field, other, constraint(other))
+            expect("(d)", resolve_pick(changed_repo, req).selected, selected,
+                   f"{name} {version} {field} {other} {constraint(other)}")
     return failed
 
 
@@ -109,7 +161,11 @@ def _seeded_instances():
         yield solver_bench.conflicted_instance(rng, (10, 30))
     for k in (6, 10, 14):
         yield solver_bench.hub_instance(k)[:2]
-    yield solver_bench.unsat_instance(random.Random(1), 200)[:2]
+    repo, req, culprits = solver_bench.unsat_instance(random.Random(1), 200)
+    yield repo, req
+    # every other package optional, so that (f) has packages to make mandatory
+    optional = frozenset(sorted(req.mandatory - set(culprits))[::2])
+    yield repo, _changed(req, mandatory=req.mandatory - optional, optional=optional)
 
 
 def test_relations_hold_on_the_stress_generators():
@@ -121,7 +177,7 @@ def test_relations_hold_on_the_stress_generators():
     ]
     assert failed == []
     # every relation was put to the test
-    assert set(checks) == {"(a)", "(b)", "(c)", "(e)", "(f)"}
+    assert set(checks) == {"(a)", "(b)", "(c)", "(d)", "(e)", "(f)"}
 
 
 def test_dropping_an_override_can_change_the_pick():
@@ -139,4 +195,21 @@ def test_dropping_an_override_can_change_the_pick():
     dropped = _changed(req, optional=frozenset("ab"), overrides={})
     assert resolve_pick(repo, dropped).selected == {
         "a": parse_version("1.0"), "b": parse_version("1.0"), "o": parse_version("2.0")
+    }
+
+
+def test_a_dependency_on_an_unrequested_package_can_change_the_pick():
+    # b needs some p, and the newest p wins.  Once p 1.0, outside the
+    # selection, depends on c, which nothing requests, c is justified next
+    # to p 1.0, and the tie-break prefers c present to p at its newest.
+    manifests = [mf("b", "1.0", depends=[("p", "*")]), mf("c", "1.0"), mf("p", "1.0"),
+                 mf("p", "2.0")]
+    repo = make_repo(["8.15"], manifests)
+    req = SelectionRequest(parse_version("8.15"), optional=frozenset("b"))
+    assert resolve_pick(repo, req).selected == {
+        "b": parse_version("1.0"), "p": parse_version("2.0")
+    }
+    edged = _with_edge(repo, "p", parse_version("1.0"), "depends", "c", "*")
+    assert resolve_pick(edged, req).selected == {
+        "b": parse_version("1.0"), "c": parse_version("1.0"), "p": parse_version("1.0")
     }

@@ -186,6 +186,14 @@ class TestImportBudget:
         assert codes == [0, 0, 2]
         assert not loaded & {"pickforge.reference", "pickforge.mirror"}
 
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_only_resolve_and_release_load_the_solver(self, op, lockfiles, tmp_path):
+        template, expected_code = OPS[op]
+        values = dict(lockfiles, platform=PLATFORM_FIXTURE, smoke=SMOKE_FIXTURE, tmp=tmp_path)
+        codes, loaded = loaded_after([arg.format(**values) for arg in template])
+        assert codes == [expected_code]
+        assert ("pickforge.solver" in loaded) == (op in ("resolve", "release"))
+
     def test_policy_loads_no_lockfile_module(self):
         codes, loaded = loaded_after(["policy", "--index", str(PLATFORM_FIXTURE)])
         assert codes == [1]
