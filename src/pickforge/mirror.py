@@ -10,7 +10,6 @@ import hashlib
 import os
 import shutil
 import tempfile
-import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -29,9 +28,7 @@ def _resolve_cache_dir(cache_dir: str | Path | None) -> Path:
     env = os.environ.get(CACHE_ENV_VAR)
     if env:
         return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "pickforge"
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pickforge"
 
 
 def _fetch(url: str) -> bytes:
@@ -39,7 +36,7 @@ def _fetch(url: str) -> bytes:
     try:
         with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             data = response.read(limit + 1)
-    except (urllib.error.URLError, OSError) as exc:
+    except OSError as exc:  # urllib.error.URLError is one
         raise RepositoryError(f"unreachable source {url}: {exc}") from exc
     if len(data) > limit:
         raise RepositoryError(f"{url} exceeds {limit} bytes")
@@ -48,8 +45,8 @@ def _fetch(url: str) -> bytes:
 
 def load_http_source(source: str, cache_dir: str | Path | None) -> Repository:
     """The repository at the base URL ``source``: the cache entry named by the
-    digest of its ``index.json`` if there is one, else the index fetched whole
-    and cached once it has validated.  ``cache_dir`` defaults to
+    digest of its ``index.json`` if there is one and it loads, else the index
+    fetched whole and cached once it has validated.  ``cache_dir`` defaults to
     ``$PICKFORGE_CACHE``, then ``$XDG_CACHE_HOME/pickforge``, then ``~/.cache/pickforge``."""
     base_url = source.rstrip("/")
     cache_dir = _resolve_cache_dir(cache_dir)
@@ -57,7 +54,11 @@ def load_http_source(source: str, cache_dir: str | Path | None) -> Repository:
     digest = hashlib.sha256(index_bytes).hexdigest()[:16]
     mirror = cache_dir / digest
     if mirror.is_dir():
-        return index._load(str(mirror), index.read_file, source)
+        try:
+            return index._load(str(mirror), index.read_file, source)
+        except RepositoryError:
+            # a broken copy an older release cached: fetch the index afresh
+            shutil.rmtree(mirror, ignore_errors=True)
     cache_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{digest}-", dir=cache_dir))
 

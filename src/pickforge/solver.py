@@ -37,11 +37,10 @@ repository beyond that cached table.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Pick, Repository, UnknownPackageError
+from .index import Pick, Repository, UnknownPackageError, compatible_versions
 from .versioning import Constraint, Version, satisfies
 
 # names defined in ``reference``, which only tests and the build runner need
@@ -131,32 +130,21 @@ def _validate_request(repo: Repository, req: SelectionRequest) -> None:
             )
 
 
-def _request_versions(
-    repo: Repository, req: SelectionRequest, name: str, supports=None
-) -> list[Version]:
-    """The versions of a package the request admits, newest first: an
-    override's one version, or those ``compatible_versions`` admits, with
-    ``supports(constraint)`` testing the request's toolchain against each."""
+def _request_versions(repo: Repository, req: SelectionRequest, name: str) -> list[Version]:
+    """The versions of a package the request admits, newest first: the
+    override's one pinned version, or those passing the toolchain and dev
+    filters."""
     if name in req.overrides:
         return [req.overrides[name]]
-    if supports is None:
-        supports = functools.partial(satisfies, req.toolchain)
-    return [
-        version
-        for version in repo.versions(name)
-        if supports(repo.packages[name][version].toolchain)
-        and (req.include_dev or not repo.packages[name][version].dev)
-    ]
+    return compatible_versions(repo, name, req.toolchain, req.include_dev)
 
 
 def _build_pick(repo: Repository, req: SelectionRequest, assignment: dict[str, Version]) -> Pick:
     """The pick for an optimal assignment, with a reason for each optional
     left out."""
     selected = {name: assignment[name] for name in sorted(assignment)}
-    # manifests share few toolchain constraints: a build tests each one once
-    supports = functools.cache(functools.partial(satisfies, req.toolchain))
     excluded = {
-        name: _exclusion_reason(repo, req, selected, name, supports)
+        name: _exclusion_reason(repo, req, selected, name)
         for name in sorted(req.optional)
         if name not in assignment
     }
@@ -164,15 +152,18 @@ def _build_pick(repo: Repository, req: SelectionRequest, assignment: dict[str, V
 
 
 def _exclusion_reason(
-    repo: Repository, req: SelectionRequest, selected: dict[str, Version], name: str, supports
+    repo: Repository, req: SelectionRequest, selected: dict[str, Version], name: str
 ) -> str:
     """Deterministic explanation of why an optional package is not selected.
 
-    ``selected`` is in name order; ``supports`` is as for ``_request_versions``.
+    ``selected`` is in name order.
     """
-    versions = _request_versions(repo, req, name, supports)
+    versions = _request_versions(repo, req, name)
     if not versions:
-        if any(supports(manifest.toolchain) for manifest in repo.packages[name].values()):
+        if any(
+            satisfies(req.toolchain, manifest.toolchain)
+            for manifest in repo.packages[name].values()
+        ):
             return f"only development snapshots support toolchain {req.toolchain}"
         return f"no version supports toolchain {req.toolchain}"
     newest = versions[0]
@@ -188,7 +179,7 @@ def _exclusion_reason(
         if dep in selected and not satisfies(selected[dep], constraint):
             return f"requires {dep} {constraint} but {dep}={selected[dep]} is selected"
     for dep, _ in manifest.depends:
-        if dep not in selected and not _request_versions(repo, req, dep, supports):
+        if dep not in selected and not _request_versions(repo, req, dep):
             return f"requires {dep}, which has no version for toolchain {req.toolchain}"
     return "cannot be added without breaking the current selection"
 

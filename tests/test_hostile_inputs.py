@@ -22,6 +22,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -50,18 +51,25 @@ _CHANGE_EVENTS = {
     "os.rmdir": 1, "os.symlink": 2, "os.truncate": 1, "os.utime": 1, "shutil.rmtree": 1,
 }
 _writes: list[str] | None = None  # paths written while an op runs, else None
+# set by a recorded ``shutil.rmtree`` event, cleared when that call returns
+_removing_tree = False
 
 
 def _record_writes(event: str, args: tuple) -> None:
+    global _removing_tree
     if _writes is None:
         return
     if event == "open":
         paths = args[:1] if args[2] & _WRITE_FLAGS else ()
     elif event in ("os.remove", "os.rmdir") and args[1] != -1:
-        # relative to a directory descriptor, as ``shutil.rmtree`` removes
-        # each entry of a tree; its own event names the tree
+        # relative to a directory descriptor: an entry of the tree that a
+        # recorded ``shutil.rmtree`` removes, else a write of unknown place
+        if not _removing_tree:
+            _writes.append(f"<descriptor {args[1]}>/{os.fsdecode(args[0])}")
         return
     else:
+        if event == "shutil.rmtree":
+            _removing_tree = True
         paths = args[: _CHANGE_EVENTS.get(event, 0)]
     _writes.extend(
         os.path.abspath(os.fsdecode(path))
@@ -72,6 +80,17 @@ def _record_writes(event: str, args: tuple) -> None:
 
 # an audit hook cannot be removed; it records nothing while _writes is None
 sys.addaudithook(_record_writes)
+_rmtree = shutil.rmtree
+
+
+def _recorded_rmtree(*args, **kwargs) -> None:
+    """``shutil.rmtree`` while an op runs: the tree's entries are recorded as
+    part of the tree until the call returns."""
+    global _removing_tree
+    try:
+        _rmtree(*args, **kwargs)
+    finally:
+        _removing_tree = False
 
 
 def run_op(argv: list[str], writable: tuple[str, ...]) -> tuple[int, str]:
@@ -82,7 +101,8 @@ def run_op(argv: list[str], writable: tuple[str, ...]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     _writes = []
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(shutil, "rmtree", _recorded_rmtree):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:

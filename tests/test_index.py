@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
+import shutil
 import sys
 
 import pytest
@@ -497,6 +499,22 @@ class TestHttpIngestion:
         repo = load_repository(url, cache_dir=cache)
         assert len(repo.packages["alpha"]) == 1
         assert len(list(cache.iterdir())) == 1
+
+    def test_broken_cache_entry_is_fetched_afresh(self, serve_index, tmp_path):
+        # a copy of a broken index, as releases that cached failed loads left
+        start, _ = serve_index
+        source = tmp_path / "src"
+        source.mkdir()
+        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
+        digest = hashlib.sha256((source / "index.json").read_bytes()).hexdigest()[:16]
+        entry = tmp_path / "cache" / digest
+        shutil.copytree(source, entry)
+        (entry / "packages" / "alpha" / "1.0.json").write_bytes(b"{")
+        url = start(source)
+        repo = load_repository(url, cache_dir=tmp_path / "cache")
+        assert len(repo.packages["alpha"]) == 1
+        assert list((tmp_path / "cache").iterdir()) == [entry]
+        assert load_repository(entry).packages == repo.packages
 
     @pytest.mark.parametrize("hostile", ["name", "version"])
     def test_hostile_listing_writes_nothing_outside_cache(self, serve_index, tmp_path, hostile):
