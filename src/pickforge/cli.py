@@ -299,6 +299,8 @@ def cmd_resolve(args) -> int:
 def cmd_release(args) -> int:
     from . import release, solver
 
+    version = parse_calendar_version(args.version)
+    previous = _read_lockfile(args.previous) if args.previous else None
     repo = _load_index(args)
     toolchains = args.toolchain or [str(t) for t in repo.toolchains]
     picks = []
@@ -310,13 +312,10 @@ def cmd_release(args) -> int:
                 print(f"  {line}", file=sys.stderr)
             return EXIT_UNSAT
         picks.append(result)
-    previous = _read_lockfile(args.previous) if args.previous else None
     if previous is not None and args.carry_previous:
         covered = {pick.toolchain for pick in picks}
         picks.extend(pick for pick in previous.picks if pick.toolchain not in covered)
-    rel, warnings = release.assemble_release(
-        parse_calendar_version(args.version), picks, previous=previous, repo=repo
-    )
+    rel, warnings = release.assemble_release(version, picks, previous=previous, repo=repo)
     strict = previous is not None and args.strict_removals
     if not strict:  # under --strict-removals the same removals are errors below
         for warning in warnings:

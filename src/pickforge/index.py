@@ -95,7 +95,7 @@ class PackageManifest(
 class Repository:
     """Immutable-by-convention index of manifests plus the toolchain list.
 
-    The first ``resolve_pick`` on a repository caches the solver's candidate
+    The first pick resolved on a repository caches the solver's candidate
     table in ``search_table``, and later requests reuse it.  So a repository
     must not be mutated once it has been resolved against.  Equality and
     ``repr`` ignore ``search_table``.

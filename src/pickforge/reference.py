@@ -1,7 +1,9 @@
 """The exhaustive reference resolver and the pick verifier: the ground truth
-that tests hold ``solver.resolve_pick`` to.  Neither reads the resolver's
-tables or runs its search; ``enumerate_best`` shares only its request checks
-and its pick and unsat-report texts, imported from ``solver`` when it runs.
+that tests hold ``solver.resolve_pick`` to.  Neither runs the resolver's
+search, and no selection or verdict reads its tables; ``enumerate_best``
+shares only its request checks and its pick and unsat-report texts, imported
+from ``solver`` when it runs.  The pick's texts read the solver's table,
+which needs no validated repository, so any sub-index will do.
 Of the CLI ops, only ``smoke`` and ``script`` load this module, to verify
 the pick they install, and ``verify_pick`` loads no solver.
 """
@@ -187,7 +189,7 @@ def enumerate_best(
                 for combo in itertools.product(*choices)
             )
 
-        return _unsat_report(repo, req, sat)
+        return _unsat_report(req, sat)
     return _build_pick(repo, req, best)
 
 

@@ -23,16 +23,17 @@ lexicographic objective:
 ``resolve_pick`` finds the optimum with one branch-and-bound search
 (``_search``) over integer candidate tables.  Their toolchain-independent
 half (``_CandidateTable``: version order, dependency targets, clashes) is
-built once per repository and cached on it, so the toolchains of a release
-share it; each request adds only its toolchain, dev and override filter and
-the pruning that follows from it (``_SearchSpace``).  The search branches in
+built once per repository, validated or not, and cached on it, so the
+toolchains of a release share it.  Its ``candidates`` is the one toolchain,
+dev and override filter: the search reads it pruned (``_SearchSpace``),
+the exclusion reasons unpruned (``_build_pick``).  The search branches in
 the objective's own order and backjumps on conflicts, so the first
 selection it finds is the best with its number of optionals.  The search
 then resumes and asks for strictly more optionals, until no such selection
 exists.  ``reference.enumerate_best`` recomputes the optimum by exhaustive
-enumeration and serves as the reference implementation for testing; it
-reads no table.  Both are deterministic, and neither changes the
-repository beyond that cached table.
+enumeration and serves as the reference implementation for testing; its
+selection and verdict read no table.  Both are deterministic, and neither
+changes the repository beyond that cached table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Pick, Repository, UnknownPackageError, compatible_versions
+from .index import Pick, Repository, UnknownPackageError
 from .versioning import Constraint, Version, satisfies
 
 # names defined in ``reference``, which only tests and the build runner need
@@ -130,61 +131,44 @@ def _validate_request(repo: Repository, req: SelectionRequest) -> None:
             )
 
 
-def _request_versions(repo: Repository, req: SelectionRequest, name: str) -> list[Version]:
-    """The versions of a package the request admits, newest first: the
-    override's one pinned version, or those passing the toolchain and dev
-    filters."""
-    if name in req.overrides:
-        return [req.overrides[name]]
-    return compatible_versions(repo, name, req.toolchain, req.include_dev)
-
-
 def _build_pick(repo: Repository, req: SelectionRequest, assignment: dict[str, Version]) -> Pick:
     """The pick for an optimal assignment, with a reason for each optional
-    left out."""
+    left out.  The reasons read the request's unpruned candidates, so each
+    distinct toolchain constraint is tested once."""
+    table = _candidate_table(repo)
+    fits = table.fits(req.toolchain)
+    ids = table.candidates(req, fits)
     selected = {name: assignment[name] for name in sorted(assignment)}
+
+    def exclusion_reason(name: str) -> str:
+        if not ids[name]:
+            if any(fits[table.toolchain_of[c]] for c in table.ids[name]):
+                return f"only development snapshots support toolchain {req.toolchain}"
+            return f"no version supports toolchain {req.toolchain}"
+        newest = table.versions[ids[name][0]]
+        manifest = repo.packages[name][newest]
+        for other, constraint in manifest.conflicts:
+            if other in selected and satisfies(selected[other], constraint):
+                return f"conflict with {other}={selected[other]}"
+        for other, version in selected.items():
+            for target, constraint in repo.packages[other][version].conflicts:
+                if target == name and satisfies(newest, constraint):
+                    return f"conflict with {other}={version}"
+        for dep, constraint in manifest.depends:
+            if dep in selected and not satisfies(selected[dep], constraint):
+                return f"requires {dep} {constraint} but {dep}={selected[dep]} is selected"
+        for dep, _ in manifest.depends:
+            if dep not in selected and not ids.get(dep):
+                return f"requires {dep}, which has no version for toolchain {req.toolchain}"
+        return "cannot be added without breaking the current selection"
+
     excluded = {
-        name: _exclusion_reason(repo, req, selected, name)
-        for name in sorted(req.optional)
-        if name not in assignment
+        name: exclusion_reason(name) for name in sorted(req.optional) if name not in assignment
     }
     return Pick(toolchain=req.toolchain, selected=selected, excluded=excluded)
 
 
-def _exclusion_reason(
-    repo: Repository, req: SelectionRequest, selected: dict[str, Version], name: str
-) -> str:
-    """Deterministic explanation of why an optional package is not selected.
-
-    ``selected`` is in name order.
-    """
-    versions = _request_versions(repo, req, name)
-    if not versions:
-        if any(
-            satisfies(req.toolchain, manifest.toolchain)
-            for manifest in repo.packages[name].values()
-        ):
-            return f"only development snapshots support toolchain {req.toolchain}"
-        return f"no version supports toolchain {req.toolchain}"
-    newest = versions[0]
-    manifest = repo.packages[name][newest]
-    for other, constraint in manifest.conflicts:
-        if other in selected and satisfies(selected[other], constraint):
-            return f"conflict with {other}={selected[other]}"
-    for other, version in selected.items():
-        for target, constraint in repo.packages[other][version].conflicts:
-            if target == name and satisfies(newest, constraint):
-                return f"conflict with {other}={version}"
-    for dep, constraint in manifest.depends:
-        if dep in selected and not satisfies(selected[dep], constraint):
-            return f"requires {dep} {constraint} but {dep}={selected[dep]} is selected"
-    for dep, _ in manifest.depends:
-        if dep not in selected and not _request_versions(repo, req, dep):
-            return f"requires {dep}, which has no version for toolchain {req.toolchain}"
-    return "cannot be added without breaking the current selection"
-
-
-def _unsat_report(repo: Repository, req: SelectionRequest, sat) -> UnsatReport:
+def _unsat_report(req: SelectionRequest, sat) -> UnsatReport:
     """Deletion-minimal unsatisfiable subset of the mandatory set.
 
     ``sat`` answers whether a given set of names is jointly installable
@@ -192,8 +176,6 @@ def _unsat_report(repo: Repository, req: SelectionRequest, sat) -> UnsatReport:
     """
     core = sorted(req.mandatory)
     for name in sorted(req.mandatory):
-        if name not in core:
-            continue
         trial = [c for c in core if c != name]
         if not sat(frozenset(trial)):
             core = trial
@@ -203,17 +185,13 @@ def _unsat_report(repo: Repository, req: SelectionRequest, sat) -> UnsatReport:
             f"mandatory package {culprits[0]} cannot be installed at toolchain {req.toolchain}"
         ]
     else:
+        # the core less any one culprit is satisfiable, and so is each subset
         narrative = [
             f"mandatory packages {', '.join(culprits)} cannot be jointly satisfied "
-            f"at toolchain {req.toolchain}"
+            f"at toolchain {req.toolchain}",
+            *(f"{name}: installable alone but incompatible with the other culprits"
+              for name in culprits),
         ]
-        for name in culprits:
-            if sat(frozenset([name])):
-                narrative.append(f"{name}: installable alone but incompatible with the other culprits")
-            else:
-                narrative.append(
-                    f"{name}: cannot be installed at toolchain {req.toolchain} even alone"
-                )
     return UnsatReport(culprits=culprits, narrative=tuple(narrative))
 
 
@@ -223,8 +201,10 @@ def _unsat_report(repo: Repository, req: SelectionRequest, sat) -> UnsatReport:
 class _CandidateTable:
     """The toolchain-independent half of every request's search space.
 
-    Built by the first ``resolve_pick`` on a repository and cached on it
-    (``Repository.search_table``), so the requests of a release share it.
+    Built on a repository's first resolve and cached on it
+    (``_candidate_table``), so the requests of a release share it.  A
+    dependency on a package the repository lacks admits no id, and a
+    conflict with one blocks nothing, so it needs no validated repository.
     Every manifest has an integer id: ``ids[name]`` holds a package's ids,
     newest first, and ``versions[c]`` maps an id back to its version.
     ``depends[c]`` pairs each dependency of ``c`` with the ids of the target
@@ -234,8 +214,9 @@ class _CandidateTable:
     no version satisfies.  ``blocked[c]`` holds every id that cannot be
     selected together with ``c``: one of the two depends on the other's
     package and the other's version does not satisfy that dependency, or one
-    conflicts with the other.  ``toolchain_of[c]`` indexes ``c``'s toolchain constraint
-    in ``toolchains``, so a request tests each distinct constraint once.
+    conflicts with the other.  ``toolchain_of[c]`` indexes ``c``'s toolchain
+    constraint in ``toolchains``, so a request tests each distinct
+    constraint once (``fits``).
     """
 
     def __init__(self, repo: Repository):
@@ -259,7 +240,7 @@ class _CandidateTable:
             key = (target, constraint)
             if key not in admitted:
                 admitted[key] = frozenset(
-                    c for c in self.ids[target] if satisfies(self.versions[c], constraint)
+                    c for c in self.ids.get(target, ()) if satisfies(self.versions[c], constraint)
                 )
             return admitted[key]
 
@@ -274,13 +255,13 @@ class _CandidateTable:
         for name, ids in self.ids.items():
             for c in ids:
                 for dep, allowed in self.depends[c]:
-                    self.dependents[dep].add(name)
+                    self.dependents.setdefault(dep, set()).add(name)
                     if not allowed:
                         self.unmeetable.add(name)
                 clashing = [
                     other
                     for dep, allowed in self.depends[c]
-                    for other in self.ids[dep]
+                    for other in self.ids.get(dep, ())
                     if other not in allowed
                 ]
                 for target, constraint in manifests[c].conflicts:
@@ -290,10 +271,14 @@ class _CandidateTable:
                     blocked[other].add(c)
         self.blocked = [frozenset(b) for b in blocked]
 
-    def candidates(self, req: SelectionRequest) -> dict[str, tuple[int, ...]]:
+    def fits(self, toolchain: Version) -> list[bool]:
+        """Whether each of ``toolchains`` admits ``toolchain``."""
+        return [satisfies(toolchain, constraint) for constraint in self.toolchains]
+
+    def candidates(self, req: SelectionRequest, fits: list[bool]) -> dict[str, tuple[int, ...]]:
         """Each package's selectable ids for a request, newest first: the
-        toolchain and dev filters, or the override's one pinned version."""
-        fits = [satisfies(req.toolchain, constraint) for constraint in self.toolchains]
+        toolchain filter ``fits`` (``self.fits(req.toolchain)``) and the dev
+        filter, or the override's one pinned version."""
         admitted = [
             fits[k] and (req.include_dev or not dev) for k, dev in zip(self.toolchain_of, self.dev)
         ]
@@ -301,6 +286,13 @@ class _CandidateTable:
         for name, version in req.overrides.items():
             ids[name] = tuple(c for c in self.ids[name] if self.versions[c] == version)
         return ids
+
+
+def _candidate_table(repo: Repository) -> _CandidateTable:
+    """The repository's candidate table, built on first use and cached on it."""
+    if repo.search_table is None:
+        repo.search_table = _CandidateTable(repo)
+    return repo.search_table
 
 
 class _SearchSpace:
@@ -317,10 +309,8 @@ class _SearchSpace:
     """
 
     def __init__(self, repo: Repository, req: SelectionRequest):
-        if repo.search_table is None:
-            repo.search_table = _CandidateTable(repo)
-        table = repo.search_table
-        self.ids = table.candidates(req)
+        table = _candidate_table(repo)
+        self.ids = table.candidates(req, table.fits(req.toolchain))
         self.versions = table.versions
         if req.overrides:
             self.versions = list(table.versions)
@@ -571,7 +561,5 @@ def resolve_pick(repo: Repository, req: SelectionRequest) -> Pick | UnsatReport:
     space = _SearchSpace(repo, req)
     best = _search(space, req.mandatory, space.live_optionals)
     if best is None:
-        return _unsat_report(
-            repo, req, lambda subset: _search(space, subset, ()) is not None
-        )
+        return _unsat_report(req, lambda subset: _search(space, subset, ()) is not None)
     return _build_pick(repo, req, best)

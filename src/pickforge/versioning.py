@@ -127,7 +127,10 @@ def _scan_number(text: str, pos: int) -> tuple[int, int]:
         raise ParseError(text, start, "expected a digit")
     if text[start] == "0" and pos - start > 1:
         raise ParseError(text, start, "leading zero in version segment")
-    return int(text[start:pos]), pos
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(text, start, "too many digits") from None
 
 
 def _scan_version(text: str, pos: int) -> tuple[Version, int]:
@@ -268,7 +271,7 @@ def parse_calendar_version(text: str) -> CalendarVersion:
         raise ParseError(text, 5, "expected a 2-digit month")
     if not _ascii_digits(patch_text) or (patch_text != "0" and patch_text[0] == "0"):
         raise ParseError(text, 8, "expected a patch number without leading zeros")
-    year, month, patch = int(year_text), int(month_text), int(patch_text)
+    year, month, patch = int(year_text), int(month_text), _scan_number(text, 8)[0]
     if year < 2000:
         raise ParseError(text, 0, f"year {year} before 2000")
     if not 1 <= month <= 12:

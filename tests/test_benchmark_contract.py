@@ -3,7 +3,7 @@ outputs and exit codes it expects, and the resolver agrees with the
 exhaustive reference on the oracle's instances.
 
 Each case runs ``perfbench/run.py`` as a user would, for one second per
-workload, and reads only its last line of stdout; nothing under
+workload and seed, and reads only its last line of stdout; nothing under
 ``perfbench/`` is imported or changed.
 """
 
@@ -30,9 +30,15 @@ def run_bench(*args: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_passes_its_checks(workload):
-    result = run_bench("--workload", workload, "--seed", "1", "--seconds", "1")
+# seed 10 draws a platform resolve request whose reference sub-index leaves
+# out a package that a version inside it conflicts with
+@pytest.mark.parametrize(
+    "workload, seed",
+    [(workload, "1") for workload in WORKLOADS] + [("platform", "10")],
+    ids=WORKLOADS + ["platform-seed-10"],
+)
+def test_workload_passes_its_checks(workload, seed):
+    result = run_bench("--workload", workload, "--seed", seed, "--seconds", "1")
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0

@@ -236,6 +236,29 @@ class TestResolve:
         assert code == EXIT_IO
         assert "name=version" in err
 
+    def test_too_many_digits_is_a_data_error(self, capsys, tmp_path):
+        digits = "1" * 5000
+        write_fixture(
+            tmp_path,
+            ["8.15"],
+            [
+                raw_manifest("alpha", "1.0"),
+                raw_manifest("beta", "1.0", depends=[["alpha", f">=1.{digits}"]]),
+            ],
+        )
+        code, _, err = run_cli(capsys, "resolve", "--index", str(tmp_path), "--toolchain", "8.15")
+        path = tmp_path / "packages" / "beta" / "1.0.json"
+        assert code == EXIT_IO
+        assert err.startswith(f"pickforge: error: {path}: field 'depends[0]': too many digits")
+        for argv in (
+            ["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
+             "--optional", "nightjar", "--override", f"nightjar=1.{digits}"],
+            ["release", "--index", str(PLATFORM_FIXTURE), "--version", f"2022.01.{digits}"],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == EXIT_IO
+            assert err.startswith("pickforge: error: too many digits")
+
     def test_missing_index_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "resolve", "--index", str(tmp_path / "ghost"), "--toolchain", "8.15"
@@ -252,6 +275,18 @@ class TestRelease:
         payload = json.loads(out_path.read_text())
         assert payload["version"] == "2022.01.0"
         assert len(payload["picks"]) == 4
+
+    def test_bad_options_fail_before_the_index_loads(self, capsys, tmp_path):
+        index = str(tmp_path / "missing-index")
+        code, _, err = run_cli(capsys, "release", "--index", index, "--version", "2026.10")
+        assert code == EXIT_IO
+        assert "'2026.10'" in err and "missing-index" not in err
+        previous = str(tmp_path / "none.lock.json")
+        code, _, err = run_cli(
+            capsys, "release", "--index", index, "--version", "2026.10.0", "--previous", previous
+        )
+        assert code == EXIT_IO
+        assert previous in err and "missing-index" not in err
 
     def test_byte_identical_across_processes(self, tmp_path):
         outputs = []

@@ -139,6 +139,23 @@ class TestLoadLocal:
             f"{path}: field 'depends[1]': unknown operator '' at offset 4 in '>=1,'"
         )
 
+    def test_too_many_digits_names_file_and_field(self, tmp_path):
+        constraint = ">=1." + "1" * 5000
+        write_fixture(
+            tmp_path,
+            ["8.15"],
+            [
+                raw_manifest("alpha", "1.0"),
+                raw_manifest("beta", "1.0", depends=[["alpha", constraint]]),
+            ],
+        )
+        path = tmp_path / "packages" / "beta" / "1.0.json"
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == (
+            f"{path}: field 'depends[0]': too many digits at offset 4 in {constraint!r}"
+        )
+
     def test_scan_fallback_without_versions_listing(self, tmp_path):
         write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
         (tmp_path / "packages" / "alpha" / "versions.json").unlink()

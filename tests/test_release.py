@@ -277,6 +277,17 @@ class TestLockfile:
         with pytest.raises(LockfileError, match="core"):
             read_lockfile(json.dumps(payload).encode())
 
+    def test_too_many_digits_names_the_field(self):
+        digits = "1" * 5000
+        payload = json.loads(write_lockfile(self.release()))
+        payload["picks"][0]["selected"]["core"] = f"1.{digits}"
+        with pytest.raises(LockfileError, match=r"picks\[0\]\.selected\.core: too many digits"):
+            read_lockfile(json.dumps(payload).encode())
+        payload = json.loads(write_lockfile(self.release()))
+        payload["version"] = f"2022.01.{digits}"
+        with pytest.raises(LockfileError, match="'version': too many digits"):
+            read_lockfile(json.dumps(payload).encode())
+
     def test_overlapping_selected_excluded(self):
         payload = json.loads(write_lockfile(self.release()))
         payload["picks"][0]["excluded"]["core"] = "also excluded"

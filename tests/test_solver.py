@@ -350,6 +350,47 @@ class TestEnumerateBest:
         req = SelectionRequest(toolchain=V("8.15"))
         assert enumerate_best(repo, req) == Pick(toolchain=V("8.15"))
 
+    def test_dependency_closure_gives_the_whole_index_answer(self, platform_repo):
+        # the benchmark checks a request against the reference run on the
+        # packages its names reach through dependencies; a conflict may still
+        # name a package outside them (veilstone 2.0 conflicts with vervain)
+        roots = ["veilstone", "briskmarsh", "pinemarten", "ravenmoor"]
+        reach = solver._closure(
+            roots,
+            lambda name: (
+                dep for manifest in platform_repo.packages[name].values()
+                for dep, _ in manifest.depends
+            ),
+        )
+        sub = Repository(
+            toolchains=platform_repo.toolchains,
+            packages={name: platform_repo.packages[name] for name in reach},
+        )
+        assert "vervain" not in sub.packages
+        req = SelectionRequest(
+            toolchain=V("8.15"),
+            mandatory={"veilstone"},
+            optional={"briskmarsh", "pinemarten", "ravenmoor"},
+            overrides={"briskmarsh": V("1.0")},
+        )
+        assert enumerate_best(sub, req) == resolve_pick(platform_repo, req)
+
+    def test_names_outside_the_index_admit_nothing_and_block_nothing(self):
+        repo = make_repo(
+            ["8.15"],
+            [
+                mf("a", "1.0", conflicts=[("ghost", "*")]),
+                mf("b", "1.0", depends=[("c", "*")]),
+                mf("c", "1.0", depends=[("phantom", "*")]),
+            ],
+        )
+        req = SelectionRequest(toolchain=V("8.15"), mandatory={"a"}, optional={"b"})
+        assert enumerate_best(repo, req) == Pick(
+            toolchain=V("8.15"),
+            selected={"a": V("1.0")},
+            excluded={"b": "cannot be added without breaking the current selection"},
+        )
+
 
 # one case per branch of the exclusion reasons: (toolchains, manifests,
 # request arguments, the reasons both resolvers must give)
@@ -388,6 +429,31 @@ EXCLUSION_REASONS = {
         [mf("a", "1.0", depends=[("b", "*")]), mf("b", "1.0", toolchain="<8.13")],
         dict(optional={"a"}),
         {"a": "requires b, which has no version for toolchain 8.15"},
+    ),
+    # with two violated dependencies, the reason names the first the
+    # manifest lists, not the first by name
+    "first_of_two_dependency_clashes": (
+        ["8.15"],
+        [
+            mf("a", "1.0", depends=[("d", "=1.0"), ("c", "=1.0")]),
+            mf("b", "1.0", depends=[("c", "=2.0"), ("d", "=2.0")]),
+            mf("c", "1.0"),
+            mf("c", "2.0"),
+            mf("d", "1.0"),
+            mf("d", "2.0"),
+        ],
+        dict(mandatory={"b"}, optional={"a"}),
+        {"a": "requires d =1.0 but d=2.0 is selected"},
+    ),
+    "first_of_two_missing_dependencies": (
+        ["8.12", "8.15"],
+        [
+            mf("a", "1.0", depends=[("d", "*"), ("c", "*")]),
+            mf("c", "1.0", toolchain="<8.13"),
+            mf("d", "1.0", toolchain="<8.13"),
+        ],
+        dict(optional={"a"}),
+        {"a": "requires d, which has no version for toolchain 8.15"},
     ),
     "generic_fallback": (
         ["8.15"],
@@ -680,7 +746,12 @@ def test_one_table_serves_every_request_on_a_repository():
 def _plainly_pruned(repo: Repository, req: SelectionRequest) -> dict[str, list]:
     """Arc consistency the plain way: sweep every package until no version
     with a dependency that no kept version of its target satisfies is left."""
-    kept = {name: solver._request_versions(repo, req, name) for name in repo.packages}
+    kept = {
+        name: [req.overrides[name]]
+        if name in req.overrides
+        else compatible_versions(repo, name, req.toolchain, req.include_dev)
+        for name in repo.packages
+    }
     changed = True
     while changed:
         changed = False
@@ -753,16 +824,16 @@ def test_later_toolchains_reuse_the_candidate_table(monkeypatch):
 
 def test_request_candidates_match_compatible_versions(platform_repo):
     # the search branches over the table's candidates, and exclusion reasons
-    # read _request_versions, so the two must admit the same versions
+    # read them too, so they must admit the versions compatible_versions does
     table = solver._CandidateTable(platform_repo)
     for toolchain in platform_repo.toolchains:
+        fits = table.fits(toolchain)
         for include_dev in (False, True):
             req = SelectionRequest(toolchain=toolchain, include_dev=include_dev)
-            ids = table.candidates(req)
+            ids = table.candidates(req, fits)
             for name in platform_repo.packages:
                 got = [table.versions[c] for c in ids[name]]
                 assert got == compatible_versions(platform_repo, name, toolchain, include_dev)
-                assert got == solver._request_versions(platform_repo, req, name)
                 for version in platform_repo.versions(name):
                     pinned = SelectionRequest(
                         toolchain=toolchain,
@@ -770,9 +841,41 @@ def test_request_candidates_match_compatible_versions(platform_repo):
                         overrides={name: version},
                         include_dev=include_dev,
                     )
-                    assert [table.versions[c] for c in table.candidates(pinned)[name]] == (
-                        solver._request_versions(platform_repo, pinned, name)
-                    )
+                    pinned_ids = table.candidates(pinned, fits)[name]
+                    assert [table.versions[c] for c in pinned_ids] == [version]
+
+
+def test_exclusion_reasons_test_each_toolchain_constraint_once(monkeypatch):
+    # most packages have no version for the toolchain, so a reason that
+    # scanned their manifests again would test the same constraints anew
+    toolchain = V("8.12")
+    manifests = []
+    for i in range(30):
+        name = f"p{i:02d}"
+        floor = ">=8.12" if i % 5 == 0 else ">=8.14"
+        for version in ("1.0", "1.1", "2.0"):
+            manifests.append(mf(name, version, toolchain=floor))
+        if i % 3 == 0:
+            manifests.append(mf(name, "3.0-dev", toolchain="*", dev=True, source_ref="c0"))
+    repo = make_repo(TOOLCHAINS, manifests)
+    req = SelectionRequest(toolchain=toolchain, optional=frozenset(repo.packages))
+    pick = resolve_pick(repo, req)
+    assert set(pick.excluded.values()) == {
+        "no version supports toolchain 8.12",
+        "only development snapshots support toolchain 8.12",
+    }
+    calls = []
+    satisfies = solver.satisfies
+
+    def counted(version, constraint):
+        if version == toolchain:
+            calls.append(constraint)
+        return satisfies(version, constraint)
+
+    monkeypatch.setattr(solver, "satisfies", counted)
+    monkeypatch.setattr("pickforge.index.satisfies", counted)
+    assert solver._build_pick(repo, req, pick.selected) == pick
+    assert len(set(calls)) == len(calls) <= len(repo.search_table.toolchains) == 3
 
 
 # --- the committed stress generators ------------------------------------------
@@ -806,3 +909,27 @@ class TestStressGenerators:
         assert isinstance(report, UnsatReport)
         assert report.culprits == planted
         assert len(request.mandatory) == size
+
+
+def test_every_culprit_of_a_joint_conflict_is_installable_alone():
+    # with two or more culprits the report calls each one installable alone
+    # without a search of its own; the reference must find a pick for each
+    rng = random.Random(1)
+    joint = 0
+    for _ in range(1000):
+        repo, req = solver_bench.random_instance(rng, 2000)
+        report = resolve_pick(repo, req)
+        if not isinstance(report, UnsatReport) or len(report.culprits) < 2:
+            continue
+        joint += 1
+        assert all("installable alone" in line for line in report.narrative[1:])
+        for name in report.culprits:
+            alone = SelectionRequest(
+                toolchain=req.toolchain,
+                mandatory={name},
+                optional=set(req.overrides) - {name},  # so that every override still pins
+                overrides=req.overrides,
+                include_dev=req.include_dev,
+            )
+            assert isinstance(enumerate_best(repo, alone), Pick), (report, name)
+    assert joint >= 10

@@ -64,6 +64,19 @@ class TestParseVersion:
         with pytest.raises(ParseError):
             parse_version("1.0 ")
 
+    def test_too_many_digits_is_a_parse_error(self):
+        # int() refuses digit runs over sys.get_int_max_str_digits() (4,300
+        # by default) with a bare ValueError that names no input
+        digits = "1" * 5000
+        for parse, text, offset in (
+            (parse_version, f"1.{digits}", 2),
+            (parse_constraint, f">=1.{digits}", 4),
+            (parse_calendar_version, f"2022.01.{digits}", 8),
+        ):
+            with pytest.raises(ParseError, match="too many digits") as exc:
+                parse(text)
+            assert exc.value.offset == offset
+
 
 class TestCompareVersions:
     @pytest.mark.parametrize(
