@@ -30,6 +30,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .release import Release
     from .solver import SelectionRequest
+    from .versioning import Version
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -271,7 +272,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
+def _request(repo: Repository, args, toolchain: Version, overrides: dict) -> SelectionRequest:
     from . import solver
 
     mandatory = frozenset(args.mandatory)
@@ -279,10 +280,10 @@ def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
     if not mandatory and not optional:
         optional = frozenset(repo.packages)
     return solver.SelectionRequest(
-        toolchain=parse_version(toolchain_text),
+        toolchain=toolchain,
         mandatory=mandatory,
         optional=optional,
-        overrides=_parse_overrides(args.override),
+        overrides=overrides,
         include_dev=args.include_dev,
     )
 
@@ -290,8 +291,9 @@ def _request(repo: Repository, args, toolchain_text: str) -> SelectionRequest:
 def cmd_resolve(args) -> int:
     from . import solver
 
+    toolchain, overrides = parse_version(args.toolchain), _parse_overrides(args.override)
     repo = _load_index(args)
-    result = solver.resolve_pick(repo, _request(repo, args, args.toolchain))
+    result = solver.resolve_pick(repo, _request(repo, args, toolchain, overrides))
     _emit(result, args.format)
     return EXIT_UNSAT if isinstance(result, solver.UnsatReport) else EXIT_OK
 
@@ -300,14 +302,15 @@ def cmd_release(args) -> int:
     from . import release, solver
 
     version = parse_calendar_version(args.version)
+    toolchains = [parse_version(text) for text in args.toolchain]
+    overrides = _parse_overrides(args.override)
     previous = _read_lockfile(args.previous) if args.previous else None
     repo = _load_index(args)
-    toolchains = args.toolchain or [str(t) for t in repo.toolchains]
     picks = []
-    for toolchain_text in toolchains:
-        result = solver.resolve_pick(repo, _request(repo, args, toolchain_text))
+    for toolchain in toolchains or repo.toolchains:
+        result = solver.resolve_pick(repo, _request(repo, args, toolchain, overrides))
         if isinstance(result, solver.UnsatReport):
-            print(f"pickforge: toolchain {toolchain_text} is unsatisfiable:", file=sys.stderr)
+            print(f"pickforge: toolchain {toolchain} is unsatisfiable:", file=sys.stderr)
             for line in result.narrative:
                 print(f"  {line}", file=sys.stderr)
             return EXIT_UNSAT

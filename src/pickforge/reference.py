@@ -1,9 +1,11 @@
 """The exhaustive reference resolver and the pick verifier: the ground truth
 that tests hold ``solver.resolve_pick`` to.  Neither runs the resolver's
-search, and no selection or verdict reads its tables; ``enumerate_best``
-shares only its request checks and its pick and unsat-report texts, imported
-from ``solver`` when it runs.  The pick's texts read the solver's table,
-which needs no validated repository, so any sub-index will do.
+search, and no selection, verdict or culprit reads its tables: culprits come
+from the reference's own deletion loop.  ``enumerate_best`` takes two names
+from ``solver``, imported when it runs: ``_Solver``, for the request checks
+and the pick's texts, and ``_unsat_report``, for the unsat report's texts.
+The pick's texts read the solver's table, which needs no validated
+repository, so any sub-index will do.
 Of the CLI ops, only ``smoke`` and ``script`` load this module, to verify
 the pick they install, and ``verify_pick`` loads no solver.
 """
@@ -134,12 +136,13 @@ def enumerate_best(
     """Exhaustively enumerate every assignment and apply the same objective.
 
     Deliberately brute force: the reference against which resolve_pick is
-    tested.  Refuses (never approximates) when the assignment space exceeds
-    ``limit``.
+    tested.  Culprits come from its own deletion loop over the same
+    enumeration.  Refuses (never approximates) when the assignment space
+    exceeds ``limit``.
     """
-    from .solver import _build_pick, _unsat_report, _validate_request
+    from .solver import _Solver, _unsat_report
 
-    _validate_request(repo, req)
+    solver = _Solver(repo, req)  # checks the request; only its pick texts are used
     space_size = 1
     for name in repo.packages:
         space_size *= len(repo.packages[name]) + 1
@@ -149,70 +152,53 @@ def enumerate_best(
             )
     names = sorted(repo.packages)
     choices = [[None] + sorted(repo.packages[name], reverse=True) for name in names]
+
+    def feasible(mandatory: frozenset[str], optional: frozenset[str]):
+        """Every assignment feasible with these mandatory and optional sets."""
+        for combo in itertools.product(*choices):
+            assignment = {
+                name: version for name, version in zip(names, combo) if version is not None
+            }
+            if _enum_feasible(repo, req, mandatory, optional, assignment):
+                yield assignment
+
     ranks = _version_ranks(repo)
-    best: dict[str, Version] | None = None
-    best_key = None
-    for combo in itertools.product(*choices):
-        assignment = {
-            name: version for name, version in zip(names, combo) if version is not None
-        }
-        if not _enum_feasible(
-            repo,
-            req.toolchain,
-            req.mandatory,
-            req.optional,
-            req.overrides,
-            req.include_dev,
-            assignment,
-        ):
-            continue
-        key = _solution_key(repo, req, assignment, ranks)
-        if best_key is None or key < best_key:
-            best, best_key = assignment, key
-    if best is None:
-
-        def sat(subset: frozenset[str]) -> bool:
-            return any(
-                _enum_feasible(
-                    repo,
-                    req.toolchain,
-                    subset,
-                    frozenset(),
-                    req.overrides,
-                    req.include_dev,
-                    {
-                        name: version
-                        for name, version in zip(names, combo)
-                        if version is not None
-                    },
-                )
-                for combo in itertools.product(*choices)
-            )
-
-        return _unsat_report(req, sat)
-    return _build_pick(repo, req, best)
+    best = min(
+        feasible(req.mandatory, req.optional),
+        key=lambda assignment: _solution_key(repo, req, assignment, ranks),
+        default=None,
+    )
+    if best is not None:
+        return solver.pick(best)
+    core = sorted(req.mandatory)
+    for name in sorted(req.mandatory):
+        trial = [c for c in core if c != name]
+        if next(feasible(frozenset(trial), frozenset()), None) is None:
+            core = trial
+    return _unsat_report(req.toolchain, tuple(core))
 
 
 def _enum_feasible(
     repo: Repository,
-    toolchain: Version,
+    req: SelectionRequest,
     mandatory: frozenset[str],
     optional: frozenset[str],
-    overrides: dict[str, Version],
-    include_dev: bool,
     assignment: dict[str, Version],
 ) -> bool:
+    """Whether ``assignment`` selects ``mandatory``, meets ``req``'s toolchain,
+    dev filter and overrides and every dependency and conflict, and reaches
+    each of its packages from ``mandatory`` or ``optional``."""
     for name in mandatory:
         if name not in assignment:
             return False
     for name, version in assignment.items():
         manifest = repo.packages[name][version]
-        if not satisfies(toolchain, manifest.toolchain):
+        if not satisfies(req.toolchain, manifest.toolchain):
             return False
-        if name in overrides:
-            if compare_versions(version, overrides[name]) != 0:
+        if name in req.overrides:
+            if compare_versions(version, req.overrides[name]) != 0:
                 return False
-        elif manifest.dev and not include_dev:
+        elif manifest.dev and not req.include_dev:
             return False
         for dep, constraint in manifest.depends:
             if dep not in assignment or not satisfies(assignment[dep], constraint):

@@ -259,6 +259,16 @@ class TestResolve:
             assert code == EXIT_IO
             assert err.startswith("pickforge: error: too many digits")
 
+    def test_bad_options_fail_before_the_index_loads(self, capsys, tmp_path):
+        index = str(tmp_path / "missing-index")
+        for options, named in (
+            (["--toolchain", "bogus"], "'bogus'"),
+            (["--toolchain", "8.15", "--optional", "x", "--override", "x"], "'x' is not"),
+        ):
+            code, _, err = run_cli(capsys, "resolve", "--index", index, *options)
+            assert code == EXIT_IO
+            assert named in err and "missing-index" not in err
+
     def test_missing_index_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "resolve", "--index", str(tmp_path / "ghost"), "--toolchain", "8.15"
@@ -287,6 +297,12 @@ class TestRelease:
         )
         assert code == EXIT_IO
         assert previous in err and "missing-index" not in err
+        code, _, err = run_cli(
+            capsys, "release", "--index", index, "--version", "2026.10.0",
+            "--toolchain", "8.15", "--toolchain", "bogus",
+        )
+        assert code == EXIT_IO
+        assert "'bogus'" in err and "missing-index" not in err
 
     def test_byte_identical_across_processes(self, tmp_path):
         outputs = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from conftest import PLATFORM_FIXTURE, REPO_ROOT, make_repo, mf
-from pickforge import solver
+from pickforge import cli, solver
 from pickforge.index import (
     Repository,
     UnknownPackageError,
@@ -210,9 +211,9 @@ class TestResolvePick:
         # the first selection found includes a alone; the same search then
         # resumes and finds b and c, with b's newest version forcing m back
         searches = []
-        search = solver._search
+        solve = solver._Solver.solve
         monkeypatch.setattr(
-            solver, "_search", lambda *args: searches.append(args) or search(*args)
+            solver._Solver, "solve", lambda *args: searches.append(args) or solve(*args)
         )
         repo = make_repo(
             ["8.15"],
@@ -271,6 +272,18 @@ class TestOverrides:
         pick = resolve_pick(self.repo(), req)
         assert names_of(pick) == {"a": "4.0-dev"}
         assert pick == enumerate_best(self.repo(), req)
+
+    @pytest.mark.parametrize("typed", ["2.0", "2.0.0"])
+    def test_pick_names_the_version_as_the_index_lists_it(self, capsys, typed):
+        # versions equal up to trailing zeros, but a lockfile's bytes must
+        # not depend on how the pin was typed
+        req = SelectionRequest(toolchain=V("8.15"), optional={"a"}, overrides={"a": V(typed)})
+        for resolve in (resolve_pick, enumerate_best):
+            assert resolve(self.repo(), req).to_json_dict()["selected"] == {"a": "2.0"}
+        argv = ["resolve", "--index", str(PLATFORM_FIXTURE), "--toolchain", "8.15",
+                "--optional", "aldergrove", "--override", f"aldergrove={typed}", "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["selected"] == {"aldergrove": "2.0"}
 
 
 class TestVerifyPick:
@@ -783,9 +796,14 @@ def test_pruned_candidates_match_a_plain_fixpoint():
                     overrides=override,
                     include_dev=include_dev,
                 )
-                space = solver._SearchSpace(repo, req)
+                (pinned, version), = override.items()
+                if not solver.satisfies(req.toolchain, repo.packages[pinned][version].toolchain):
+                    with pytest.raises(OverrideError):
+                        solver._Solver(repo, req)
+                    continue
+                space = solver._Solver(repo, req)
                 got = {
-                    name: [space.versions[c] for c in ids] for name, ids in space.ids.items()
+                    name: [space.table.versions[c] for c in ids] for name, ids in space.ids.items()
                 }
                 assert got == _plainly_pruned(repo, req)
 
@@ -845,6 +863,26 @@ def test_request_candidates_match_compatible_versions(platform_repo):
                     assert [table.versions[c] for c in pinned_ids] == [version]
 
 
+def test_a_request_filters_its_candidates_once(monkeypatch):
+    # the search and the exclusion reasons read one filter per request
+    repo = make_repo(
+        ["8.15"],
+        [mf("a", "1.0", conflicts=[("b", "*")]), mf("b", "1.0"), mf("c", "1.0", toolchain="<8.15")],
+    )
+    req = SelectionRequest(toolchain=V("8.15"), optional={"a", "b", "c"})
+    calls = []
+    for method in ("fits", "candidates"):
+        real = getattr(solver._CandidateTable, method)
+        monkeypatch.setattr(
+            solver._CandidateTable,
+            method,
+            lambda *args, real=real, method=method: calls.append(method) or real(*args),
+        )
+    pick = resolve_pick(repo, req)
+    assert pick.excluded == {"b": "conflict with a=1.0", "c": "no version supports toolchain 8.15"}
+    assert sorted(calls) == ["candidates", "fits"]
+
+
 def test_exclusion_reasons_test_each_toolchain_constraint_once(monkeypatch):
     # most packages have no version for the toolchain, so a reason that
     # scanned their manifests again would test the same constraints anew
@@ -874,7 +912,7 @@ def test_exclusion_reasons_test_each_toolchain_constraint_once(monkeypatch):
 
     monkeypatch.setattr(solver, "satisfies", counted)
     monkeypatch.setattr("pickforge.index.satisfies", counted)
-    assert solver._build_pick(repo, req, pick.selected) == pick
+    assert solver._Solver(repo, req).pick(pick.selected) == pick
     assert len(set(calls)) == len(calls) <= len(repo.search_table.toolchains) == 3
 
 
