@@ -3,23 +3,23 @@
 
 Run from the repository root:
 
-    python3 scripts/mutants.py                            # every mutant, fast tests
-    python3 scripts/mutants.py --slow core-deletes-in-reverse
+    python3 scripts/mutants.py
 
 Each mutant replaces one exact text, which occurs once in its file.  The
 script copies the repository without ``__pycache__`` into a temporary
 directory, as ``scripts/op_ab.py`` copies its trees.  It runs the tests once
 on the unmutated copy, then applies each mutant in turn, runs the tests
 again and restores the file.  A test kills a mutant when it fails with the
-mutant and passed without it.
+mutant and passed without it; a mutant whose run outlasts ``TIMEOUT_S`` is
+killed too.
 
-By default the tests leave out acceptance criteria 1 and 2, the
-differential test against the exhaustive reference (about 40 s), and the
-benchmark contract, which runs the benchmark harness; ``--slow`` runs all
-of them, so that a mutant that only those tests kill shows as killed.  A
-mutant marked equivalent changes how the search runs, not what it answers,
-and should survive.  The script exits 1 if a mutant that is not equivalent
-survives, or if an equivalent one is killed.
+The tests are the fast part of tier-1: they leave out acceptance criteria 1
+and 2, the differential test against the exhaustive reference (about 40 s),
+and the benchmark contract, which runs the benchmark harness.  A mutant
+marked equivalent changes how the search runs, not what it answers, and
+should survive.  The script exits 1 if a mutant that is not equivalent
+survives, or if an equivalent one is killed, and 2 if pytest itself fails
+(interrupted, an internal or usage error) or the unmutated run times out.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -100,34 +101,40 @@ SLOW_TESTS = (
 )
 
 
-def failing_tests(tree: Path, slow: bool) -> set[str]:
-    """The ids of the tests that fail or error in ``tree``."""
+# the fast tests take one to two minutes; a mutant that makes the search loop forever stops here
+TIMEOUT_S = 600
+
+
+def failing_tests(tree: Path) -> set[str] | None:
+    """The ids of the tests that fail or error in ``tree``, or None if they time out."""
     # tests/test_mutants.py fails under every mutant: it looks for the mutant's text
     argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-            "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
-    if not slow:
-        argv += [f"--deselect={test}" for test in SLOW_TESTS]
-        argv += ["--ignore=tests/test_benchmark_contract.py"]
+            "--continue-on-collection-errors", "--ignore=tests/test_mutants.py",
+            "--ignore=tests/test_benchmark_contract.py"]
+    argv += [f"--deselect={test}" for test in SLOW_TESTS]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    # a session of its own, so a timeout also stops the CLI processes the tests start
+    with subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, start_new_session=True) as proc:
+        try:
+            output, _ = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return None
+    # 0: all passed, 1: some failed; anything else prints no verdict per test
+    if proc.returncode not in (0, 1):
+        print(f"{output}pytest exited {proc.returncode}", file=sys.stderr)
+        sys.exit(2)
     return {
         line.split()[1]
-        for line in proc.stdout.splitlines()
+        for line in output.splitlines()
         if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1
     }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--slow", action="store_true",
-                        help="also run criteria 1 and 2 and the benchmark contract")
-    args = parser.parse_args()
-    known = {mutant.name for mutant in MUTANTS}
-    unknown = sorted(set(args.names) - known)
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [mutant for mutant in MUTANTS if not args.names or mutant.name in args.names]
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     sys.stdout.reconfigure(line_buffering=True)  # each verdict as soon as it is known
 
     wrong = 0
@@ -135,9 +142,12 @@ def main() -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             "__pycache__", ".git", ".pytest_cache", ".hypothesis", ".perfbench"))
-        baseline = failing_tests(tree, args.slow)
+        baseline = failing_tests(tree)
+        if baseline is None:
+            print(f"the unmutated tests outlast {TIMEOUT_S} s", file=sys.stderr)
+            sys.exit(2)
         print(f"unmutated: {len(baseline)} failing: {', '.join(sorted(baseline)) or '-'}")
-        for mutant in chosen:
+        for mutant in MUTANTS:
             path = tree / mutant.path
             original = path.read_text(encoding="utf-8")
             if original.count(mutant.text) != 1:
@@ -146,14 +156,19 @@ def main() -> int:
                 continue
             path.write_text(original.replace(mutant.text, mutant.replacement), encoding="utf-8")
             try:
-                killers = sorted(failing_tests(tree, args.slow) - baseline)
+                failing = failing_tests(tree)
             finally:
                 path.write_text(original, encoding="utf-8")
-            if killers:
+            if failing is None:
+                killed = True
+                print(f"{mutant.name}: killed by the {TIMEOUT_S} s timeout")
+            elif killers := sorted(failing - baseline):
+                killed = True
                 print(f"{mutant.name}: killed by {len(killers)}: {', '.join(killers)}")
             else:
+                killed = False
                 print(f"{mutant.name}: SURVIVED ({mutant.effect})")
-            wrong += bool(killers) == mutant.equivalent
+            wrong += killed == mutant.equivalent
     return 1 if wrong else 0
 
 
