@@ -1,16 +1,22 @@
 """Install plans, the smoke-test runner, and standalone install scripts.
 
-A plan orders a pick's packages so that dependencies build first; ties
-among ready packages break by name.  Running a plan executes each step's
-build command and then its smoke command inside a sandbox directory with
-PKG_NAME, PKG_VERSION, and TOOLCHAIN set.  A build failure skips every
-transitive dependent; a smoke failure does not, since the package itself
-installed and dependents can still build against it.  Report contents
-are independent of the parallelism level for deterministic commands.
+A plan orders a pick's packages in waves: each wave holds every package
+whose dependencies are all in earlier waves, by name.  A dependency cycle
+raises CycleError naming one cycle, in "depends on" order from its
+smallest name; with several cycles, which one is named depends only on the
+package names.  Running a plan executes each step's build command and then
+its smoke command inside a sandbox directory with PKG_NAME, PKG_VERSION,
+and TOOLCHAIN set.  A step starts once each of its dependencies has
+finished.  A build failure skips every transitive dependent; a smoke
+failure does not, since the package itself installed and dependents can
+still build against it.  Report contents are independent of the
+parallelism level for deterministic commands.  A malformed plan, cyclic or
+depending on a step it lacks, fails before any command runs.
 """
 
 from __future__ import annotations
 
+import graphlib
 import hashlib
 import json
 import os
@@ -101,21 +107,14 @@ def install_plan(repo: Repository, pick: Pick) -> InstallPlan:
                 if dep in selected
             )
         )
-        for name in selected
+        for name in sorted(selected)
     }
+    sorter = _sorter(edges)
     order = []
-    placed: set[str] = set()
-    remaining = set(selected)
-    while remaining:
-        ready = sorted(
-            name for name in remaining if all(dep in placed for dep in edges[name])
-        )
-        if not ready:
-            raise CycleError(_find_cycle(edges, remaining))
-        for name in ready:
-            order.append(name)
-            placed.add(name)
-            remaining.discard(name)
+    while sorter.is_active():
+        wave = sorted(sorter.get_ready())
+        order += wave
+        sorter.done(*wave)
     steps = []
     for name in order:
         manifest = repo.packages[name][selected[name]]
@@ -123,20 +122,21 @@ def install_plan(repo: Repository, pick: Pick) -> InstallPlan:
     return InstallPlan(toolchain=pick.toolchain, steps=steps, dependencies=edges)
 
 
-def _find_cycle(edges: dict[str, tuple[str, ...]], remaining: set[str]) -> list[str]:
-    """Walk unplaced dependency edges from the smallest name until a repeat."""
-    start = min(remaining)
-    path = [start]
-    seen = {start: 0}
-    current = start
-    while True:
-        current = min(dep for dep in edges[current] if dep in remaining)
-        if current in seen:
-            cycle = path[seen[current]:]
-            pivot = cycle.index(min(cycle))
-            return cycle[pivot:] + cycle[:pivot]
-        seen[current] = len(path)
-        path.append(current)
+def _sorter(edges: dict[str, tuple[str, ...]]) -> graphlib.TopologicalSorter:
+    """A prepared sorter over ``edges`` (name -> its dependencies), fed in name
+    order, so that a graph with several cycles always names the same one."""
+    sorter = graphlib.TopologicalSorter()
+    for name in sorted(edges):
+        sorter.add(name, *edges[name])
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        # graphlib walks from a dependency to its dependents and repeats the
+        # first node last: reverse it to "depends on" and drop the repeat
+        cycle = exc.args[1][:0:-1]
+        pivot = cycle.index(min(cycle))
+        raise CycleError(cycle[pivot:] + cycle[:pivot]) from None
+    return sorter
 
 
 class StepResult(
@@ -184,8 +184,8 @@ class SmokeReport(namedtuple("SmokeReport", "toolchain results")):
 def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> SmokeReport:
     """Execute the plan's commands in the sandbox, up to max_parallel at once.
 
-    Steps become runnable once every dependency has built; dependents of a
-    failed build are skipped.  Command output is captured under
+    A step starts once every dependency has finished; it is skipped if one
+    failed to build or was skipped itself.  Command output is captured under
     ``<sandbox>/logs`` (log contents are not part of the determinism
     contract, report statuses and exit codes are).
     """
@@ -194,6 +194,13 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
 
     if max_parallel < 1:
         raise SandboxError("max_parallel must be at least 1")
+    steps = {step.name: step for step in plan.steps}
+    strays = set(plan.dependencies).union(*plan.dependencies.values()) ^ set(steps)
+    if strays:
+        raise PickforgeError(
+            f"plan steps and dependencies disagree: {', '.join(sorted(strays))}"
+        )
+    sorter = _sorter(plan.dependencies)
     sandbox = Path(sandbox)
     try:
         sandbox.mkdir(parents=True, exist_ok=True)
@@ -203,73 +210,42 @@ def run_plan(plan: InstallPlan, sandbox: str | Path, max_parallel: int = 1) -> S
         raise SandboxError(f"sandbox {sandbox} is not empty")
     if not os.access(sandbox, os.W_OK):
         raise SandboxError(f"sandbox {sandbox} is not writable")
-    logs = sandbox / "logs"
-    logs.mkdir()
+    (sandbox / "logs").mkdir()
 
-    steps = {step.name: step for step in plan.steps}
-    # only this thread reads or writes outcomes, futures and pending; a
-    # worker reads nothing but its step, the plan and the sandbox paths
-    outcomes: dict[str, StepResult] = {}
-
-    def runnable(name: str) -> bool:
-        return all(
-            dep in outcomes and outcomes[dep].status in (PASSED, SMOKE_FAILED)
-            for dep in plan.dependencies[name]
-        )
-
-    def doomed(name: str) -> bool:
-        return any(
-            dep in outcomes and outcomes[dep].status in (BUILD_FAILED, SKIPPED)
-            for dep in plan.dependencies[name]
-        )
-
-    def execute(step: InstallStep) -> StepResult:
-        log_path = logs / f"{step.name}-{step.version}.log"
-        env = dict(os.environ)
-        env.update(
-            PKG_NAME=step.name,
-            PKG_VERSION=str(step.version),
+    def execute(step: InstallStep, log: str) -> StepResult:
+        env = dict(
+            os.environ, PKG_NAME=step.name, PKG_VERSION=str(step.version),
             TOOLCHAIN=str(plan.toolchain),
         )
-        build_exit = _run_command(step.build_cmd, sandbox, env, log_path, "build")
+        build_exit = _run_command(step.build_cmd, sandbox, env, sandbox / log, "build")
         if build_exit != 0:
-            return StepResult(
-                step.name, step.version, BUILD_FAILED, build_exit, None,
-                f"logs/{log_path.name}",
-            )
-        smoke_exit = _run_command(step.smoke_cmd, sandbox, env, log_path, "smoke")
+            return StepResult(step.name, step.version, BUILD_FAILED, build_exit, None, log)
+        smoke_exit = _run_command(step.smoke_cmd, sandbox, env, sandbox / log, "smoke")
         status = PASSED if smoke_exit == 0 else SMOKE_FAILED
-        return StepResult(
-            step.name, step.version, status, build_exit, smoke_exit,
-            f"logs/{log_path.name}",
-        )
+        return StepResult(step.name, step.version, status, build_exit, smoke_exit, log)
 
-    pending = {step.name for step in plan.steps}
+    # only this thread touches the sorter, outcomes and futures; a worker
+    # reads nothing but its step, the plan and the sandbox paths
+    outcomes: dict[str, StepResult] = {}
+    futures = {}
     with ThreadPoolExecutor(max_workers=max_parallel) as pool:
-        futures = {}
-        while pending or futures:
-            progressed = False
-            for name in sorted(pending):
-                if doomed(name):
-                    pending.discard(name)
-                    outcomes[name] = StepResult(
-                        name, steps[name].version, SKIPPED, None, None,
-                        f"logs/{name}-{steps[name].version}.log",
-                    )
-                    progressed = True
-                elif name not in futures and runnable(name):
-                    futures[name] = pool.submit(execute, steps[name])
-                    progressed = True
-            if not futures:
-                if not progressed:  # only possible for a malformed, cyclic plan
-                    raise PickforgeError(
-                        f"plan steps deadlocked: {', '.join(sorted(pending))}"
-                    )
-                continue
-            done, _ = wait(set(futures.values()), return_when=FIRST_COMPLETED)
-            for name in [n for n, f in futures.items() if f in done]:
-                outcomes[name] = futures.pop(name).result()
-                pending.discard(name)
+        while sorter.is_active():
+            for name in sorted(sorter.get_ready()):
+                step = steps[name]
+                log = f"logs/{name}-{step.version}.log"
+                if any(
+                    outcomes[dep].status in (BUILD_FAILED, SKIPPED)
+                    for dep in plan.dependencies[name]
+                ):
+                    outcomes[name] = StepResult(name, step.version, SKIPPED, None, None, log)
+                    sorter.done(name)
+                else:
+                    futures[pool.submit(execute, step, log)] = name
+            done, _ = wait(futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                name = futures.pop(future)
+                outcomes[name] = future.result()
+                sorter.done(name)
 
     results = [outcomes[step.name] for step in plan.steps]
     return SmokeReport(toolchain=plan.toolchain, results=results)

@@ -1,10 +1,11 @@
 """The same bytes from any process, environment and copy of the index.
 
 Each variant runs every op in one child process through ``cli.main``: a
-hash seed, a umask, a relative or absolute index path, an index copy
-written in reverse file order, and one without ``versions.json`` files, so
-that the loader scans the package directories.  Every variant must give
-the same exit code, stdout and output file bytes for every op.
+hash seed, a umask, a locale, a time zone, a relative or absolute index
+path, the indexes served over HTTP, an index copy written in reverse file
+order, and one without ``versions.json`` files, so that the loader scans
+the package directories.  Every variant must give the same exit code,
+stdout, stderr and output file bytes for every op.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import shutil
 import subprocess
 import sys
 
-from conftest import PLATFORM_FIXTURE, REPO_ROOT, write_fixture
+from conftest import PLATFORM_FIXTURE, REPO_ROOT, raw_manifest, write_fixture
 
 # scripts/ is not a package, so the generators are loaded by path
 _spec = importlib.util.spec_from_file_location(
@@ -26,19 +27,19 @@ _spec = importlib.util.spec_from_file_location(
 solver_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(solver_bench)
 
-# run in the child: each op's exit code, stdout and the bytes of the file it
-# wrote, as one JSON list on stdout
+# run in the child: each op's exit code, stdout, stderr and the bytes of the
+# file it wrote, as one JSON list on stdout
 CHILD = r"""
 import contextlib, io, json, sys
 from pickforge import cli
 
 results = []
 for argv, output in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     written = open(output, "rb").read().decode("latin-1") if output else None
-    results.append([argv[0], code, out.getvalue(), written])
+    results.append([argv[0], code, out.getvalue(), err.getvalue(), written])
 print(json.dumps(results))
 """
 
@@ -55,9 +56,16 @@ def _raw(manifest) -> dict:
 
 
 def _write_indexes(root):
-    """The fixture and two seeded indexes under ``root``, and the requests
-    that the ops put to the seeded ones."""
+    """The fixture, an index whose packages depend on each other in two
+    cycles, and two seeded indexes under ``root``, and the requests that the
+    ops put to the seeded ones."""
     shutil.copytree(PLATFORM_FIXTURE, root / "platform")
+    (root / "cycles").mkdir()
+    write_fixture(root / "cycles", ["8.15"], [
+        raw_manifest("anvil", "1.0", depends=[["bellows", "*"], ["crucible", "*"]]),
+        raw_manifest("bellows", "1.0", depends=[["crucible", "*"]]),
+        raw_manifest("crucible", "1.0", depends=[["anvil", "*"]]),
+    ])
     conflicted, conflicted_req = solver_bench.conflicted_instance(random.Random(7), (12, 16))
     unsat, unsat_req, _ = solver_bench.unsat_instance(random.Random(1), 30)
     for name, repo in (("conflicted", conflicted), ("unsat", unsat)):
@@ -81,8 +89,8 @@ def _copy(source, target, reverse: bool, listings: bool) -> None:
 
 def _ops(indexes: str, conflicted_req, unsat_req) -> list:
     """Each op's argv and the file it writes, with index paths under ``indexes``."""
-    platform, conflicted, unsat = (
-        f"{indexes}/{name}" for name in ("platform", "conflicted", "unsat")
+    platform, cycles, conflicted, unsat = (
+        f"{indexes}/{name}" for name in ("platform", "cycles", "conflicted", "unsat")
     )
     return [
         (["release", "--index", platform, "--version", "2022.01.0", "--output", "platform.lock"],
@@ -92,6 +100,9 @@ def _ops(indexes: str, conflicted_req, unsat_req) -> list:
         (["coordinate", "--index", platform, "--rc", "8.15", "--reference", "platform.lock",
           "--reference-toolchain", "8.14"], None),
         (["script", "--index", platform, "--lockfile", "platform.lock"], None),
+        (["release", "--index", cycles, "--version", "2022.01.0", "--output", "cycles.lock"],
+         "cycles.lock"),
+        (["script", "--index", cycles, "--lockfile", "cycles.lock"], None),
         (["release", "--index", conflicted, "--version", "2022.01.0",
           "--output", "conflicted.lock",
           *(f"--optional={name}" for name in sorted(conflicted_req.optional))], "conflicted.lock"),
@@ -100,7 +111,8 @@ def _ops(indexes: str, conflicted_req, unsat_req) -> list:
     ]
 
 
-def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path):
+def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path, serve_index):
+    start_server, served_paths = serve_index
     originals = tmp_path / "indexes"
     requests = _write_indexes(originals)
     copies = {
@@ -110,21 +122,34 @@ def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path):
     }
     _copy(originals, copies["reversed"], reverse=True, listings=True)
     _copy(originals, copies["unlisted"], reverse=False, listings=False)
+    served = start_server(originals)
+    # each variant: its environment, umask, index copy, and how the index is named
     variants = {
-        "hash seed 0": ("0", 0o022, "indexes", True),
-        "hash seed 1": ("1", 0o022, "indexes", True),
-        "random hash seed": ("random", 0o022, "indexes", True),
-        "umask 077": ("0", 0o077, "indexes", True),
-        "relative index path": ("0", 0o022, "indexes", False),
-        "reverse file order": ("0", 0o022, "reversed", True),
-        "no versions.json": ("0", 0o022, "unlisted", True),
+        "hash seed 0": ({}, 0o022, "indexes", "absolute"),
+        "hash seed 1": ({"PYTHONHASHSEED": "1"}, 0o022, "indexes", "absolute"),
+        "random hash seed": ({"PYTHONHASHSEED": "random"}, 0o022, "indexes", "absolute"),
+        "umask 077": ({}, 0o077, "indexes", "absolute"),
+        "LC_ALL=C": ({"LC_ALL": "C"}, 0o022, "indexes", "absolute"),
+        "LC_ALL=C.UTF-8": ({"LC_ALL": "C.UTF-8"}, 0o022, "indexes", "absolute"),
+        "TZ=Pacific/Chatham": ({"TZ": "Pacific/Chatham"}, 0o022, "indexes", "absolute"),
+        "relative index path": ({}, 0o022, "indexes", "relative"),
+        "served over HTTP": ({}, 0o022, "indexes", "http"),
+        "reverse file order": ({}, 0o022, "reversed", "absolute"),
+        "no versions.json": ({}, 0o022, "unlisted", "absolute"),
     }
     outputs = {}
-    for label, (hash_seed, umask, copy, absolute) in variants.items():
-        cwd = tmp_path / label.replace(" ", "-")
+    for number, (label, (extra_env, umask, copy, naming)) in enumerate(variants.items()):
+        cwd = tmp_path / f"variant{number}"
         cwd.mkdir()
-        indexes = str(copies[copy]) if absolute else os.path.relpath(copies[copy], cwd)
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONHASHSEED=hash_seed)
+        indexes = {
+            "absolute": str(copies[copy]),
+            "relative": os.path.relpath(copies[copy], cwd),
+            "http": served,
+        }[naming]
+        env = {
+            **os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONHASHSEED": "0",
+            "PICKFORGE_CACHE": str(cwd / "cache"), **extra_env,
+        }
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, json.dumps(_ops(indexes, *requests))],
             cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
@@ -132,7 +157,9 @@ def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path):
         )
         assert proc.returncode == 0, (label, proc.stderr)
         outputs[label] = json.loads(proc.stdout)
+    assert "/cycles/index.json" in served_paths
     first = outputs["hash seed 0"]
-    assert [code for _, code, _, _ in first] == [0, 2, 0, 0, 0, 2]
+    assert [code for _, code, _, _, _ in first] == [0, 2, 0, 0, 0, 3, 0, 2]
+    assert first[5][3] == "pickforge: error: dependency cycle: anvil -> crucible -> anvil\n"
     for label, results in outputs.items():
         assert results == first, label
