@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/pickforge/solver.py"
 BUILDRUN = "src/pickforge/buildrun.py"
 REFERENCE = "src/pickforge/reference.py"
+POLICY = "src/pickforge/policy.py"
 
 Mutant = namedtuple("Mutant", "name path text replacement effect equivalent", defaults=(False,))
 
@@ -136,6 +137,33 @@ MUTANTS = (
         "if dep not in pick.selected:\n                violations.append(",
         "if dep not in pick.selected:\n                continue\n                violations.append(",
         "a pick that lacks a selected package's dependency passes the verifier",
+    ),
+    Mutant(
+        "removals-ignore-deprecation", POLICY,
+        "if manifest is None or not manifest.deprecated:", "if True:",
+        "a package dropped after its deprecation is still flagged",
+    ),
+    Mutant(
+        "removals-consult-the-oldest-version", POLICY,
+        "if name not in newest or version > newest[name]:",
+        "if name not in newest or version < newest[name]:",
+        "the deprecation of the oldest version the previous release selected decides a drop",
+    ),
+    Mutant(
+        "removals-read-one-pick", POLICY,
+        "kept = {name for pick in candidate.picks for name in pick.selected}",
+        "kept = set(candidate.picks[-1].selected)",
+        "a package that another pick of the candidate still selects is flagged as dropped",
+    ),
+    Mutant(
+        "coordination-prefers-dev", POLICY,
+        "key=lambda v: manifests[v].dev", "key=lambda v: not manifests[v].dev",
+        "a dev snapshot is reported where a released version is already compatible",
+    ),
+    Mutant(
+        "succession-keeps-the-oldest-witness", POLICY,
+        "witness = version  #", "witness = witness or version  #",
+        "the oldest bridging version is named instead of the newest",
     ),
 )
 

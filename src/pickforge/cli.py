@@ -318,25 +318,21 @@ def cmd_release(args) -> int:
     if previous is not None and args.carry_previous:
         covered = {pick.toolchain for pick in picks}
         picks.extend(pick for pick in previous.picks if pick.toolchain not in covered)
-    rel, warnings = release.assemble_release(version, picks, previous=previous, repo=repo)
-    strict = previous is not None and args.strict_removals
-    if not strict:  # under --strict-removals the same removals are errors below
-        for warning in warnings:
-            print(f"pickforge: warning: {warning}", file=sys.stderr)
+    rel = release.assemble_release(version, picks, previous=previous)
+    removals = []
+    if previous is not None:
+        from . import policy
+
+        removals = policy.check_removals(previous, rel, repo)
+    level = "error" if args.strict_removals else "warning"
+    for removal in removals:
+        print(f"pickforge: {level}: {removal}", file=sys.stderr)
     data = release.write_lockfile(rel)
     if args.output == "-":
         sys.stdout.write(data.decode("utf-8"))
     else:
         Path(args.output).write_bytes(data)
-    if strict:
-        from . import policy
-
-        violations = policy.check_removals(previous, rel, repo)
-        for violation in violations:
-            print(f"pickforge: error: {violation}", file=sys.stderr)
-        if violations:
-            return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_FAILURE if removals and args.strict_removals else EXIT_OK
 
 
 def cmd_diff(args) -> int:

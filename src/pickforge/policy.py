@@ -3,8 +3,10 @@
 Two rules are enforced here.  Succession: a package should have at least
 one released version compatible with two consecutive toolchains of the
 repository's toolchain list.  Removal: a package selected by a release
-may disappear from the next release only if the manifest the previous
-release used marks it deprecated.
+may disappear from the next release only if the manifest of the newest
+version the previous release selected marks it deprecated.
+``check_removals`` is the only code that applies this rule; the CLI prints
+its findings as warnings, or as errors under ``--strict-removals``.
 
 The coordination report classifies each package of a reference pick
 against a toolchain release candidate: a released version is already
@@ -88,9 +90,7 @@ def check_succession(repo: Repository, name: str) -> SuccessionReport:
         witness = None
         for version, manifest in released:
             if satisfies(lower, manifest.toolchain) and satisfies(upper, manifest.toolchain):
-                # keep the newest bridging version
-                if witness is None or version > witness:
-                    witness = version
+                witness = version  # ``released`` ascends, so the last is the newest
         pairs.append(SuccessionPair(lower=lower, upper=upper, witness=witness))
     return SuccessionReport(package=name, pairs=pairs)
 
@@ -160,16 +160,16 @@ def coordinate(repo: Repository, rc: Version, reference: Pick) -> CoordinationRe
     entries = []
     for name in sorted(reference.selected):
         maintainer = repo.manifest(name, reference.selected[name]).maintainer
-        status, version, ref = NONE_KNOWN, None, None
-        released = compatible_versions(repo, name, rc, include_dev=False)
-        if released:
-            status, version = ALREADY_COMPATIBLE, released[0]
-        else:
-            dev = [v for v in compatible_versions(repo, name, rc, include_dev=True)
-                   if repo.packages[name][v].dev]
-            if dev:
-                status, version = DEV_COMPATIBLE, dev[0]
-                ref = repo.packages[name][version].source_ref
+        manifests = repo.packages[name]
+        # the newest released version, else the newest dev snapshot: the
+        # versions come newest first, and ``min`` keeps the first of equal keys
+        version = min(compatible_versions(repo, name, rc, include_dev=True),
+                      key=lambda v: manifests[v].dev, default=None)
+        status, ref = NONE_KNOWN, None
+        if version is not None and manifests[version].dev:
+            status, ref = DEV_COMPATIBLE, manifests[version].source_ref
+        elif version is not None:
+            status = ALREADY_COMPATIBLE
         entries.append(CoordinationEntry(
             name, status, version, ref, _ACTIONS[status].format(ref=ref), maintainer
         ))
@@ -186,20 +186,32 @@ class PolicyViolation(namedtuple("PolicyViolation", "kind package message")):
 def check_removals(
     previous: Release, candidate: Release, repo: Repository | None = None
 ) -> list[PolicyViolation]:
-    """Flag packages dropped from the candidate release without prior deprecation."""
-    from .release import dropped_packages
+    """Flag packages dropped from the candidate release without prior deprecation.
 
+    A package is dropped when some pick of ``previous`` selects it and no
+    pick of ``candidate`` does.  Only the newest version ``previous``
+    selected counts: the drop is allowed if ``repo`` marks that manifest
+    deprecated, and without ``repo`` every drop is flagged.
+    """
     if candidate.predecessor is None or candidate.predecessor != previous.version:
         raise PolicyError(
             f"candidate predecessor {candidate.predecessor} does not match "
             f"previous release {previous.version}"
         )
-    return [
-        PolicyViolation(
-            REMOVAL_WITHOUT_DEPRECATION,
-            name,
-            f"package {name} was selected in {previous.version} but is "
-            f"absent from {candidate.version} and was not deprecated",
-        )
-        for name in dropped_packages(previous, candidate, repo)
-    ]
+    newest: dict[str, Version] = {}
+    for pick in previous.picks:
+        for name, version in pick.selected.items():
+            if name not in newest or version > newest[name]:
+                newest[name] = version
+    kept = {name for pick in candidate.picks for name in pick.selected}
+    violations = []
+    for name in sorted(newest.keys() - kept):
+        manifest = repo.packages.get(name, {}).get(newest[name]) if repo is not None else None
+        if manifest is None or not manifest.deprecated:
+            violations.append(PolicyViolation(
+                REMOVAL_WITHOUT_DEPRECATION,
+                name,
+                f"package {name} was selected in {previous.version} but is "
+                f"absent from {candidate.version} and was not deprecated",
+            ))
+    return violations

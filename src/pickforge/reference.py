@@ -115,11 +115,10 @@ def _solution_key(
     repo: Repository,
     req: SelectionRequest,
     assignment: dict[str, Version],
-    ranks: dict[str, dict[Version, int]] | None = None,
+    ranks: dict[str, dict[Version, int]],
 ):
-    """The lexicographic objective; smaller keys are better selections."""
-    if ranks is None:
-        ranks = _version_ranks(repo)
+    """The lexicographic objective; smaller keys are better selections.
+    ``ranks`` is ``_version_ranks(repo)``."""
     optional_sorted = sorted(req.optional)
     count = sum(1 for o in optional_sorted if o in assignment)
     inclusion = tuple(0 if o in assignment else 1 for o in optional_sorted)

@@ -1,5 +1,9 @@
 """Calendar-versioned releases: assembly, pick diffing, upgrade paths, lockfiles.
 
+Assembly only bundles picks under a version greater than the predecessor's;
+whether a release may drop a package of its predecessor is the removal rule
+of ``policy.check_removals``.
+
 Lockfile format (``pickforge.lock.json``): canonical JSON with sorted keys,
 two-space indentation, and a trailing newline.
 
@@ -24,7 +28,7 @@ import json
 from collections import namedtuple
 
 from .errors import PickforgeError
-from .index import Pick, Repository, parse_json
+from .index import Pick, parse_json
 from .versioning import CalendarVersion, Version, parse_calendar_version, parse_version
 
 
@@ -51,28 +55,13 @@ class Release(namedtuple("Release", "version picks predecessor", defaults=(None,
         return [pick.toolchain for pick in self.picks]
 
 
-class AssemblyWarning(namedtuple("AssemblyWarning", "kind package message")):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.message}"
-
-
-MONOTONICITY_WARNING = "MonotonicityWarning"
-
-
 def assemble_release(
-    version: CalendarVersion,
-    picks: list[Pick],
-    previous: Release | None = None,
-    repo: Repository | None = None,
-) -> tuple[Release, list[AssemblyWarning]]:
-    """Bundle picks into a release, warning when the package set shrinks.
+    version: CalendarVersion, picks: list[Pick], previous: Release | None = None
+) -> Release:
+    """Bundle picks into a release that succeeds ``previous``, if given.
 
-    A package selected anywhere in the previous release but nowhere in the
-    new one draws a monotonicity warning unless the manifest the previous
-    release used marks it deprecated (deprecation lookups need ``repo``;
-    without it every such disappearance warns).
+    Whether the release drops a package it should keep is a policy
+    question: ``policy.check_removals`` answers it.
     """
     if not picks:
         raise ReleaseError("a release needs at least one pick")
@@ -82,19 +71,7 @@ def assemble_release(
         raise ReleaseError(
             f"release version {version} must be greater than predecessor {predecessor}"
         )
-    release = Release(version=version, picks=ordered, predecessor=predecessor)
-    warnings = []
-    if previous is not None:
-        for name in dropped_packages(previous, release, repo):
-            warnings.append(
-                AssemblyWarning(
-                    MONOTONICITY_WARNING,
-                    name,
-                    f"package {name} was in release {previous.version} but is "
-                    f"absent from {version} without prior deprecation",
-                )
-            )
-    return release, warnings
+    return Release(version=version, picks=ordered, predecessor=predecessor)
 
 
 def _ordered_picks(picks: list[Pick], error: type[PickforgeError]) -> list[Pick]:
@@ -104,29 +81,6 @@ def _ordered_picks(picks: list[Pick], error: type[PickforgeError]) -> list[Pick]
         if a.toolchain == b.toolchain:
             raise error(f"duplicate pick for toolchain {a.toolchain}")
     return ordered
-
-
-def dropped_packages(
-    previous: Release, candidate: Release, repo: Repository | None
-) -> list[str]:
-    """Packages selected in the previous release, gone from the candidate,
-    and not deprecated by the newest manifest the previous release used."""
-    old_names: dict[str, Version] = {}
-    for pick in previous.picks:
-        for name, version in pick.selected.items():
-            if name not in old_names or version > old_names[name]:
-                old_names[name] = version
-    new_names = {name for pick in candidate.picks for name in pick.selected}
-    dropped = []
-    for name in sorted(old_names):
-        if name in new_names:
-            continue
-        if repo is not None:
-            manifest = repo.packages.get(name, {}).get(old_names[name])
-            if manifest is not None and manifest.deprecated:
-                continue
-        dropped.append(name)
-    return dropped
 
 
 class PickDiff(namedtuple("PickDiff", "added removed upgraded downgraded unchanged")):

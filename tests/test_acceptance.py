@@ -170,10 +170,8 @@ def fixture_release():
         assert isinstance(result, Pick)
         picks.append(result)
     elapsed = time.perf_counter() - started
-    release, warnings = assemble_release(
-        parse_calendar_version("2022.01.0"), picks, repo=repo
-    )
-    return repo, release, warnings, elapsed
+    release = assemble_release(parse_calendar_version("2022.01.0"), picks)
+    return repo, release, elapsed
 
 
 def _release_cli_args(output: str) -> list[str]:
@@ -190,7 +188,7 @@ def _release_cli_args(output: str) -> list[str]:
 
 
 def test_criterion_3_fixture_scale_and_lockfile_determinism(fixture_release, tmp_path):
-    repo, release, warnings, elapsed = fixture_release
+    repo, release, elapsed = fixture_release
     with criterion(3, "50-package fixture resolves fast with a reproducible lockfile"):
         assert len(repo.packages) == 50
         assert [str(t) for t in repo.toolchains] == ["8.12", "8.13", "8.14", "8.15"]
@@ -214,7 +212,7 @@ def test_criterion_3_fixture_scale_and_lockfile_determinism(fixture_release, tmp
 
 
 def test_criterion_4_upgrade_path_is_monotone(fixture_release):
-    _, release, _, _ = fixture_release
+    _, release, _ = fixture_release
     with criterion(4, "upgrade path 8.13 to 8.15 has two monotone steps"):
         report = upgrade_path(release, V("8.13"), V("8.15"))
         assert len(report.steps) == 2
@@ -231,7 +229,7 @@ def test_criterion_4_upgrade_path_is_monotone(fixture_release):
 
 
 def test_criterion_5_succession_flags_only_planted_violators(fixture_release):
-    repo, _, _, _ = fixture_release
+    repo, _, _ = fixture_release
     with criterion(5, "succession check flags exactly the planted violators"):
         flagged = {
             name
@@ -243,7 +241,7 @@ def test_criterion_5_succession_flags_only_planted_violators(fixture_release):
 
 
 def test_criterion_6_coordination_statuses_and_markdown(fixture_release):
-    repo, _, _, _ = fixture_release
+    repo, _, _ = fixture_release
     with criterion(6, "coordination classifies planted packages; markdown reproducible"):
         reference = resolve_pick(
             repo,

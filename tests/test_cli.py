@@ -328,7 +328,7 @@ class TestRelease:
         ]
         code, _, err = run_cli(capsys, *slim)
         assert code == EXIT_OK
-        assert "MonotonicityWarning" in err
+        assert "pickforge: warning: RemovalWithoutDeprecation: package " in err
 
     def test_strict_removals_fail(self, capsys, tmp_path):
         first = tmp_path / "first.lock.json"
@@ -342,6 +342,33 @@ class TestRelease:
         code, _, err = run_cli(capsys, *slim)
         assert code == EXIT_FAILURE
         assert "RemovalWithoutDeprecation" in err
+
+    def test_unsatisfiable_toolchain_writes_no_lockfile(self, capsys, tmp_path):
+        out_path = tmp_path / "pickforge.lock.json"
+        code, out, err = run_cli(
+            capsys, "release", "--index", str(PLATFORM_FIXTURE), "--version", "2022.01.0",
+            "--mandatory", "aldergrove", "--output", str(out_path),
+        )
+        assert code == EXIT_UNSAT
+        assert out == ""
+        assert err == (
+            "pickforge: toolchain 8.12 is unsatisfiable:\n"
+            "  mandatory package aldergrove cannot be installed at toolchain 8.12\n"
+        )
+        assert not out_path.exists()
+
+    def test_strict_removals_write_the_lockfile_before_failing(self, capsys, tmp_path):
+        first = tmp_path / "first.lock.json"
+        run_cli(capsys, *release_args("--output", str(first)))
+        lenient, strict = tmp_path / "lenient.lock.json", tmp_path / "strict.lock.json"
+        slim = [
+            "release", "--index", str(PLATFORM_FIXTURE),
+            "--version", "2022.06.0", "--optional", "aldergrove", "--previous", str(first),
+        ]
+        assert run_cli(capsys, *slim, "--output", str(lenient))[0] == EXIT_OK
+        code, _, _ = run_cli(capsys, *slim, "--strict-removals", "--output", str(strict))
+        assert code == EXIT_FAILURE
+        assert strict.read_bytes() == lenient.read_bytes()
 
     def test_carry_previous_picks(self, capsys, tmp_path):
         first = tmp_path / "first.lock.json"
@@ -370,9 +397,9 @@ class TestRelease:
         code, _, err = run_cli(capsys, *slim, "--strict-removals")
         assert code == EXIT_FAILURE
         assert "warning" not in err
-        dropped = re.findall(r"package (\S+) was in release", warned)
-        assert re.findall(r"RemovalWithoutDeprecation: package (\S+)", err) == dropped
-        assert len(dropped) > 1
+        assert err == warned.replace("pickforge: warning: ", "pickforge: error: ")
+        dropped = re.findall(r"error: RemovalWithoutDeprecation: package (\S+) ", err)
+        assert len(dropped) == len(set(dropped)) == err.count("\n") > 1
 
     def test_carry_previous_matches_toolchains_by_value(self, capsys, tmp_path):
         first = tmp_path / "first.lock.json"

@@ -113,6 +113,24 @@ class TestLoadLocal:
             load_repository(tmp_path)
         assert str(exc.value) == f"missing package directory {tmp_path / 'packages' / 'beta'}"
 
+    @pytest.mark.parametrize(
+        "listing, problem",
+        [
+            ({"toolchains": ["8.15"]}, "missing field 'packages'"),
+            ({"toolchains": "8.15", "packages": ["alpha"]},
+             "field 'toolchains' must be a list of versions"),
+            ({"toolchains": ["8.15"], "packages": ["alpha", "alpha"]},
+             "duplicate package name 'alpha'"),
+        ],
+        ids=["missing-field", "toolchains-not-a-list", "duplicate-name"],
+    )
+    def test_malformed_index_names_the_problem(self, tmp_path, listing, problem):
+        write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
+        (tmp_path / "index.json").write_text(json.dumps(listing))
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"{tmp_path / 'index.json'}: {problem}"
+
     def test_bad_constraint_among_repeated_texts_names_its_own_file(self, tmp_path):
         # constraint texts are shared between manifests; a malformed one
         # must still be reported against the manifest and field holding it

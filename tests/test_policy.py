@@ -14,7 +14,7 @@ from pickforge.policy import (
     check_succession,
     coordinate,
 )
-from pickforge.release import assemble_release
+from pickforge.release import Release, assemble_release
 from pickforge.solver import Pick, SelectionRequest, resolve_pick
 from pickforge.versioning import parse_calendar_version, parse_version, satisfies
 
@@ -231,14 +231,14 @@ class TestCheckRemovals:
                 mf("extra", "1.0", deprecated=deprecate_extra),
             ],
         )
-        previous, _ = assemble_release(
+        previous = assemble_release(
             CV("2022.01.0"),
             [Pick(toolchain=V("8.14"), selected={"core": V("1.0"), "extra": V("1.0")})],
         )
         new_selected = {"core": V("1.0")}
         if not drop_extra:
             new_selected["extra"] = V("1.0")
-        candidate, _ = assemble_release(
+        candidate = assemble_release(
             CV("2022.06.0"),
             [Pick(toolchain=V("8.15"), selected=new_selected)],
             previous=previous,
@@ -259,8 +259,58 @@ class TestCheckRemovals:
         assert [v.kind for v in violations] == [REMOVAL_WITHOUT_DEPRECATION]
         assert violations[0].package == "extra"
 
+    def two_version_releases(self, deprecated: str):
+        """``extra`` at 1.0 in one previous pick and at 1.1 in another; only
+        the manifest at version ``deprecated`` is marked deprecated."""
+        repo = make_repo(
+            ["8.14", "8.15"],
+            [
+                mf("core", "1.0"),
+                mf("extra", "1.0", deprecated=deprecated == "1.0"),
+                mf("extra", "1.1", deprecated=deprecated == "1.1"),
+            ],
+        )
+        previous = Release(CV("2022.01.0"), [
+            Pick(toolchain=V("8.14"), selected={"core": V("1.0"), "extra": V("1.0")}),
+            Pick(toolchain=V("8.15"), selected={"core": V("1.0"), "extra": V("1.1")}),
+        ])
+        candidate = Release(
+            CV("2022.06.0"),
+            [Pick(toolchain=V("8.15"), selected={"core": V("1.0")})],
+            predecessor=previous.version,
+        )
+        return repo, previous, candidate
+
+    def test_newest_previous_version_deprecated_allows_the_drop(self):
+        repo, previous, candidate = self.two_version_releases(deprecated="1.1")
+        assert check_removals(previous, candidate, repo) == []
+
+    def test_only_older_previous_version_deprecated_is_flagged(self):
+        repo, previous, candidate = self.two_version_releases(deprecated="1.0")
+        violations = check_removals(previous, candidate, repo)
+        assert [v.package for v in violations] == ["extra"]
+
+    def test_without_repo_every_drop_is_flagged(self):
+        _, previous, candidate = self.releases(drop_extra=True, deprecate_extra=True)
+        violations = check_removals(previous, candidate)
+        assert [v.package for v in violations] == ["extra"]
+        assert str(violations[0]) == (
+            "RemovalWithoutDeprecation: package extra was selected in 2022.01.0 "
+            "but is absent from 2022.06.0 and was not deprecated"
+        )
+
+    def test_package_present_in_any_pick_is_not_flagged(self):
+        repo, previous, _ = self.releases(drop_extra=False)
+        candidate = Release(
+            CV("2022.06.0"),
+            [Pick(toolchain=V("8.14"), selected={"core": V("1.0")}),
+             Pick(toolchain=V("8.15"), selected={"extra": V("1.0")})],
+            predecessor=previous.version,
+        )
+        assert check_removals(previous, candidate, repo) == []
+
     def test_predecessor_must_match(self):
         repo, previous, candidate = self.releases(drop_extra=False)
-        orphan, _ = assemble_release(CV("2023.01.0"), list(candidate.picks))
+        orphan = assemble_release(CV("2023.01.0"), list(candidate.picks))
         with pytest.raises(PolicyError, match="predecessor"):
             check_removals(previous, orphan, repo)

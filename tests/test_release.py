@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 
 from conftest import make_repo, mf
+from pickforge.policy import REMOVAL_WITHOUT_DEPRECATION, check_removals
 from pickforge.release import (
-    MONOTONICITY_WARNING,
     LockfileError,
     Release,
     ReleaseError,
@@ -59,16 +59,15 @@ class TestRecordEquality:
 
 class TestAssembleRelease:
     def test_four_picks(self):
-        release, warnings = assemble_release(
+        release = assemble_release(
             CV("2022.01.0"),
             [pick(t, core="1.0") for t in ("8.12", "8.13", "8.14", "8.15")],
         )
         assert [str(t) for t in release.toolchains()] == ["8.12", "8.13", "8.14", "8.15"]
-        assert warnings == []
         assert release.predecessor is None
 
     def test_sorts_picks_by_toolchain(self):
-        release, _ = assemble_release(CV("2022.01.0"), [pick("8.15"), pick("8.12")])
+        release = assemble_release(CV("2022.01.0"), [pick("8.15"), pick("8.12")])
         assert [str(t) for t in release.toolchains()] == ["8.12", "8.15"]
 
     def test_duplicate_toolchain_rejected(self):
@@ -76,7 +75,7 @@ class TestAssembleRelease:
             assemble_release(CV("2022.01.0"), [pick("8.15"), pick("8.15")])
 
     def test_version_must_advance(self):
-        previous, _ = assemble_release(CV("2022.01.0"), [pick("8.15")])
+        previous = assemble_release(CV("2022.01.0"), [pick("8.15")])
         with pytest.raises(ReleaseError, match="greater"):
             assemble_release(CV("2022.01.0"), [pick("8.15")], previous=previous)
 
@@ -85,37 +84,29 @@ class TestAssembleRelease:
             assemble_release(CV("2022.01.0"), [])
 
     def test_dropping_package_warns(self):
-        previous, _ = assemble_release(
+        # Assembly accepts the drop; the warning is check_removals' to give.
+        previous = assemble_release(
             CV("2022.01.0"), [pick("8.14", core="1.0", extra="1.0")]
         )
-        _, warnings = assemble_release(
+        release = assemble_release(
             CV("2022.06.0"), [pick("8.15", core="1.0")], previous=previous
         )
-        assert [w.kind for w in warnings] == [MONOTONICITY_WARNING]
+        assert release.predecessor == previous.version
+        warnings = check_removals(previous, release)
+        assert [w.kind for w in warnings] == [REMOVAL_WITHOUT_DEPRECATION]
         assert warnings[0].package == "extra"
 
     def test_deprecated_drop_is_silent(self):
         repo = make_repo(
             ["8.14", "8.15"], [mf("core", "1.0"), mf("extra", "1.0", deprecated=True)]
         )
-        previous, _ = assemble_release(
+        previous = assemble_release(
             CV("2022.01.0"), [pick("8.14", core="1.0", extra="1.0")]
         )
-        _, warnings = assemble_release(
-            CV("2022.06.0"), [pick("8.15", core="1.0")], previous=previous, repo=repo
+        release = assemble_release(
+            CV("2022.06.0"), [pick("8.15", core="1.0")], previous=previous
         )
-        assert warnings == []
-
-    def test_package_present_in_any_pick_does_not_warn(self):
-        previous, _ = assemble_release(
-            CV("2022.01.0"), [pick("8.14", core="1.0", extra="1.0")]
-        )
-        _, warnings = assemble_release(
-            CV("2022.06.0"),
-            [pick("8.14", core="1.0"), pick("8.15", extra="1.1")],
-            previous=previous,
-        )
-        assert warnings == []
+        assert check_removals(previous, release, repo) == []
 
 
 class TestDiffPicks:
@@ -165,7 +156,7 @@ class TestDiffPicks:
 
 class TestUpgradePath:
     def release(self):
-        release, _ = assemble_release(
+        release = assemble_release(
             CV("2022.01.0"),
             [
                 pick("8.12", core="1.0"),
@@ -195,7 +186,7 @@ class TestUpgradePath:
             upgrade_path(self.release(), V("8.13"), V("9.0"))
 
     def test_removal_breaks_monotonicity(self):
-        release, _ = assemble_release(
+        release = assemble_release(
             CV("2022.01.0"),
             [pick("8.14", core="1.0", lib="1.0"), pick("8.15", core="1.0")],
         )
@@ -221,7 +212,7 @@ class TestUpgradePath:
 
 class TestLockfile:
     def release(self):
-        release, _ = assemble_release(
+        release = assemble_release(
             CV("2022.01.0"),
             [
                 pick("8.14", core="1.0"),
@@ -299,6 +290,25 @@ class TestLockfile:
         payload["picks"][1]["toolchain"] = payload["picks"][0]["toolchain"]
         with pytest.raises(LockfileError, match="duplicate"):
             read_lockfile(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("predecessor", "2022.01.0",
+             "field 'version': 2022.01.0 must be greater than predecessor 2022.01.0"),
+            ("toolchain", 815, "picks[0].toolchain must be a string"),
+            ("toolchain", "8..15", "picks[0].toolchain: expected a digit at offset 2 in '8..15'"),
+            ("selected", ["core"], "picks[0].selected must be an object"),
+        ],
+        ids=["version-not-above-predecessor", "toolchain-not-text", "toolchain-unparsable",
+             "selected-not-an-object"],
+    )
+    def test_bad_field_named(self, field, value, message):
+        payload = json.loads(write_lockfile(self.release()))
+        (payload if field == "predecessor" else payload["picks"][0])[field] = value
+        with pytest.raises(LockfileError) as exc:
+            read_lockfile(json.dumps(payload).encode())
+        assert str(exc.value) == message
 
     def test_not_json(self):
         with pytest.raises(LockfileError, match="JSON"):

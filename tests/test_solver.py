@@ -18,7 +18,7 @@ from pickforge.index import (
     load_repository,
     validate_repository,
 )
-from pickforge.solver import (
+from pickforge.reference import (
     DEPENDENCY_MISSING,
     DEPENDENCY_VIOLATION,
     MUTUAL_EXCLUSION,
@@ -26,6 +26,8 @@ from pickforge.solver import (
     TOOLCHAIN_VIOLATION,
     UNKNOWN_VERSION,
     EnumerationLimitError,
+)
+from pickforge.solver import (
     OverrideError,
     Pick,
     SelectionRequest,

@@ -187,6 +187,9 @@ class TestParseConstraint:
     def test_trailing_junk(self):
         with pytest.raises(ParseError):
             parse_constraint(">=1.0 %")
+        with pytest.raises(ParseError, match="unexpected trailing text") as exc:
+            parse_constraint("* x")
+        assert exc.value.offset == 2
 
 
 class TestSatisfies:
@@ -247,6 +250,18 @@ class TestCalendarVersion:
     def test_ordering(self):
         assert parse_calendar_version("2021.09.1") < parse_calendar_version("2022.01.0")
         assert parse_calendar_version("2022.01.0") < parse_calendar_version("2022.01.1")
+
+    @pytest.mark.parametrize(
+        "text, reason, offset",
+        [
+            ("2022.1.0", "expected a 2-digit month", 5),
+            ("2022.01.01", "expected a patch number without leading zeros", 8),
+        ],
+    )
+    def test_malformed_field(self, text, reason, offset):
+        with pytest.raises(ParseError, match=reason) as exc:
+            parse_calendar_version(text)
+        assert exc.value.offset == offset
 
     def test_year_floor(self):
         with pytest.raises(ParseError):
