@@ -41,6 +41,7 @@ SOLVER = "src/pickforge/solver.py"
 BUILDRUN = "src/pickforge/buildrun.py"
 REFERENCE = "src/pickforge/reference.py"
 POLICY = "src/pickforge/policy.py"
+RELEASE = "src/pickforge/release.py"
 
 Mutant = namedtuple("Mutant", "name path text replacement effect equivalent", defaults=(False,))
 
@@ -92,6 +93,21 @@ MUTANTS = (
         "of two unselected dependencies that both have no version, the reason names the last",
     ),
     Mutant(
+        "dev-only-and-no-version-reasons-swapped", SOLVER,
+        'return f"only development snapshots support toolchain {req.toolchain}"\n'
+        '                return f"no version supports toolchain {req.toolchain}"',
+        'return f"no version supports toolchain {req.toolchain}"\n'
+        '                return f"only development snapshots support toolchain {req.toolchain}"',
+        "an optional with only dev snapshots for the toolchain is said to have no version, "
+        "and one with no version is said to have dev snapshots",
+    ),
+    Mutant(
+        "reason-skips-conflicts-declared-by-the-selection", SOLVER,
+        "for other, version in selected.items():", "for other, version in ():",
+        "an optional that a selected package declares a conflict with gets another reason, "
+        "often the generic one",
+    ),
+    Mutant(
         "core-deletes-in-reverse", SOLVER,
         "for name in sorted(self.req.mandatory):",
         "for name in sorted(self.req.mandatory, reverse=True):",
@@ -139,6 +155,22 @@ MUTANTS = (
         "a pick that lacks a selected package's dependency passes the verifier",
     ),
     Mutant(
+        "lockfile-keys-unsorted", RELEASE,
+        "json.dumps(payload, sort_keys=True, indent=2)",
+        "json.dumps(payload, sort_keys=False, indent=2)",
+        "a lockfile's keys come in the order the writer builds them, not sorted",
+    ),
+    Mutant(
+        "lockfile-pick-overlap-unchecked", RELEASE,
+        "if overlap:", "if False:",
+        "a lockfile pick that both selects and excludes a package is read without error",
+    ),
+    Mutant(
+        "lockfile-unknown-fields-accepted", RELEASE,
+        "for key in sorted(set(raw) - expected):", "for key in ():",
+        "a lockfile or pick with a field the format does not define is read without error",
+    ),
+    Mutant(
         "removals-ignore-deprecation", POLICY,
         "if manifest is None or not manifest.deprecated:", "if True:",
         "a package dropped after its deprecation is still flagged",
@@ -162,7 +194,7 @@ MUTANTS = (
     ),
     Mutant(
         "succession-keeps-the-oldest-witness", POLICY,
-        "witness = version  #", "witness = witness or version  #",
+        "next((v for v in admitted[i] if", "next((v for v in reversed(admitted[i]) if",
         "the oldest bridging version is named instead of the newest",
     ),
 )

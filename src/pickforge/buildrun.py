@@ -27,7 +27,6 @@ from pathlib import Path
 from .errors import PickforgeError
 from .index import Pick, Repository
 from .reference import verify_pick
-from .versioning import Version
 
 BUILD_FAILED = "BuildFailed"
 SMOKE_FAILED = "SmokeFailed"
@@ -53,41 +52,33 @@ class InstallStep(namedtuple("InstallStep", "name version build_cmd smoke_cmd"))
     __slots__ = ()
 
 
-class InstallPlan(namedtuple("InstallPlan", "toolchain steps dependencies plan_digest")):
+class InstallPlan(namedtuple("InstallPlan", "toolchain steps dependencies")):
     """Topologically ordered build steps plus the dependency edges among them.
 
-    ``plan_digest`` defaults to the SHA-256 of the plan's canonical JSON.
+    ``plan_digest`` is computed from these three fields, so equal plans have
+    equal digests and no caller supplies one.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        toolchain: Version,
-        steps: list[InstallStep],
-        dependencies: dict[str, tuple[str, ...]],
-        plan_digest: str = "",
-    ):
-        plan = super().__new__(cls, toolchain, steps, dependencies, plan_digest)
-        return plan if plan_digest else plan._replace(plan_digest=_digest(plan))
-
-
-def _digest(plan: InstallPlan) -> str:
-    canonical = json.dumps(
-        {
-            "toolchain": str(plan.toolchain),
-            "steps": [
-                [step.name, str(step.version), step.build_cmd, step.smoke_cmd]
-                for step in plan.steps
-            ],
-            "dependencies": {
-                name: list(deps) for name, deps in sorted(plan.dependencies.items())
+    @property
+    def plan_digest(self) -> str:
+        """The SHA-256 of the plan's canonical JSON."""
+        canonical = json.dumps(
+            {
+                "toolchain": str(self.toolchain),
+                "steps": [
+                    [step.name, str(step.version), step.build_cmd, step.smoke_cmd]
+                    for step in self.steps
+                ],
+                "dependencies": {
+                    name: list(deps) for name, deps in sorted(self.dependencies.items())
+                },
             },
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def install_plan(repo: Repository, pick: Pick) -> InstallPlan:

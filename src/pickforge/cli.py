@@ -53,12 +53,12 @@ def _positive_int(text: str) -> int:
 VALUE, REQUIRED, REPEAT, FLAG = "value", "required", "repeat", "flag"
 _HELP_NOTES = {REQUIRED: " (required)", REPEAT: " (repeatable)"}
 
-# each option: (flag, dest, kind, default, help)
-_OUTPUT = (
-    ("--format", "format", ("text", "json"), "text", "output format: text (default) or json"),
+# each option: (flag, dest, kind, default, help); a command takes only the options it reads
+_FORMAT = ("--format", "format", ("text", "json"), "text", "output format: text (default) or json")
+_INDEX = (
     ("--cache-dir", "cache_dir", VALUE, None, "override the PICKFORGE_CACHE mirror directory"),
+    ("--index", "index", REQUIRED, None, "index directory or HTTP base URL"),
 )
-_INDEX = (*_OUTPUT, ("--index", "index", REQUIRED, None, "index directory or HTTP base URL"))
 _REQUEST = (
     ("--mandatory", "mandatory", REPEAT, None, "package that must be selected"),
     ("--optional", "optional", REPEAT, None, "package to select if possible (default: all)"),
@@ -75,7 +75,7 @@ _PICK = ("--toolchain", "toolchain", VALUE, None, "toolchain of the pick (defaul
 # each subcommand: (help, options); ``main`` runs it with ``cmd_<name>``
 COMMANDS = {
     "resolve": ("resolve a pick for one toolchain", (
-        *_INDEX, ("--toolchain", "toolchain", REQUIRED, None, "toolchain to resolve for"),
+        _FORMAT, *_INDEX, ("--toolchain", "toolchain", REQUIRED, None, "toolchain to resolve for"),
         *_REQUEST,
     )),
     "release": ("resolve picks and write a lockfile", (
@@ -84,24 +84,27 @@ COMMANDS = {
         ("--toolchain", "toolchain", REPEAT, None, "toolchain to resolve (default: all)"),
         *_REQUEST,
         ("--previous", "previous", VALUE, None, "lockfile of the previous release"),
-        ("--carry-previous", "carry_previous", FLAG, None, "re-ship other previous picks"),
-        ("--strict-removals", "strict_removals", FLAG, None, "fail on undeprecated removals"),
+        ("--carry-previous", "carry_previous", FLAG, None,
+         "re-ship other previous picks (needs --previous)"),
+        ("--strict-removals", "strict_removals", FLAG, None,
+         "fail on undeprecated removals (needs --previous)"),
         ("--output", "output", VALUE, "pickforge.lock.json", "lockfile path, or - for stdout"),
     )),
-    "diff": ("diff two picks of a lockfile", (*_OUTPUT, _LOCKFILE, *_FROM_TO)),
-    "upgrade": ("stepwise upgrade path between toolchains", (*_OUTPUT, _LOCKFILE, *_FROM_TO)),
+    "diff": ("diff two picks of a lockfile", (_FORMAT, _LOCKFILE, *_FROM_TO)),
+    "upgrade": ("stepwise upgrade path between toolchains", (_FORMAT, _LOCKFILE, *_FROM_TO)),
     "coordinate": ("maintainer report for a toolchain release candidate", (
-        *_INDEX,
+        _FORMAT, *_INDEX,
         ("--rc", "rc", REQUIRED, None, "toolchain release candidate"),
         ("--reference", "reference", REQUIRED, None, "lockfile to report against"),
         ("--reference-toolchain", "reference_toolchain", VALUE, None,
          "pick of the reference (default: newest)"),
     )),
     "policy": ("succession policy checks", (
-        *_INDEX, ("--package", "package", REPEAT, None, "package to check (default: all)"),
+        _FORMAT, *_INDEX,
+        ("--package", "package", REPEAT, None, "package to check (default: all)"),
     )),
     "smoke": ("run the smoke-test kit for a pick", (
-        *_INDEX, _LOCKFILE, _PICK,
+        _FORMAT, *_INDEX, _LOCKFILE, _PICK,
         ("--sandbox", "sandbox", REQUIRED, None, "empty directory to build in"),
         ("--jobs", "jobs", _positive_int, 1, "steps to run at once (default: 1)"),
     )),
@@ -299,6 +302,9 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_release(args) -> int:
+    if not args.previous and (args.strict_removals or args.carry_previous):
+        flag = "--strict-removals" if args.strict_removals else "--carry-previous"
+        _usage_error("release", f"argument {flag}: requires --previous")
     from . import release, solver
 
     version = parse_calendar_version(args.version)
@@ -315,7 +321,7 @@ def cmd_release(args) -> int:
                 print(f"  {line}", file=sys.stderr)
             return EXIT_UNSAT
         picks.append(result)
-    if previous is not None and args.carry_previous:
+    if args.carry_previous:
         covered = {pick.toolchain for pick in picks}
         picks.extend(pick for pick in previous.picks if pick.toolchain not in covered)
     rel = release.assemble_release(version, picks, previous=previous)

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import PickforgeError
 from .index import Pick, Repository, UnknownPackageError, compatible_versions
-from .versioning import Version, satisfies
+from .versioning import Version
 
 # type checkers read this name as true; ``typing`` is not imported for it
 TYPE_CHECKING = False
@@ -80,17 +80,11 @@ class SuccessionReport(namedtuple("SuccessionReport", "package pairs")):
 def check_succession(repo: Repository, name: str) -> SuccessionReport:
     if name not in repo.packages:
         raise UnknownPackageError(name)
-    released = [
-        (version, manifest)
-        for version, manifest in sorted(repo.packages[name].items())
-        if not manifest.dev
-    ]
+    admitted = [compatible_versions(repo, name, toolchain) for toolchain in repo.toolchains]
     pairs = []
-    for lower, upper in zip(repo.toolchains, repo.toolchains[1:]):
-        witness = None
-        for version, manifest in released:
-            if satisfies(lower, manifest.toolchain) and satisfies(upper, manifest.toolchain):
-                witness = version  # ``released`` ascends, so the last is the newest
+    for i, (lower, upper) in enumerate(zip(repo.toolchains, repo.toolchains[1:])):
+        # both lists come newest first, so the first version both admit is the newest
+        witness = next((v for v in admitted[i] if v in admitted[i + 1]), None)
         pairs.append(SuccessionPair(lower=lower, upper=upper, witness=witness))
     return SuccessionReport(package=name, pairs=pairs)
 
@@ -184,14 +178,15 @@ class PolicyViolation(namedtuple("PolicyViolation", "kind package message")):
 
 
 def check_removals(
-    previous: Release, candidate: Release, repo: Repository | None = None
+    previous: Release, candidate: Release, repo: Repository
 ) -> list[PolicyViolation]:
     """Flag packages dropped from the candidate release without prior deprecation.
 
     A package is dropped when some pick of ``previous`` selects it and no
     pick of ``candidate`` does.  Only the newest version ``previous``
-    selected counts: the drop is allowed if ``repo`` marks that manifest
-    deprecated, and without ``repo`` every drop is flagged.
+    selected counts: the drop is allowed if ``repo`` holds that manifest
+    and marks it deprecated, so a drop whose manifest ``repo`` lacks is
+    flagged.
     """
     if candidate.predecessor is None or candidate.predecessor != previous.version:
         raise PolicyError(
@@ -206,7 +201,7 @@ def check_removals(
     kept = {name for pick in candidate.picks for name in pick.selected}
     violations = []
     for name in sorted(newest.keys() - kept):
-        manifest = repo.packages.get(name, {}).get(newest[name]) if repo is not None else None
+        manifest = repo.packages.get(name, {}).get(newest[name])
         if manifest is None or not manifest.deprecated:
             violations.append(PolicyViolation(
                 REMOVAL_WITHOUT_DEPRECATION,

@@ -25,6 +25,8 @@ SUCCESSION_VIOLATORS = {"strictweld", "tautline", "thornlatch"}
 DEV_AT_RC = {"nightjar": "4f2c9aa", "quillfeather": "b81d0ce"}
 NONE_AT_RC = {"oldstone", "reedmace"}
 RELEASE_UNIVERSE_EXCLUDES = set(DEV_AT_RC) | NONE_AT_RC
+# the SHA-256 of the canonical JSON of the smoke fixture's plan of every package
+SMOKE_PLAN_DIGEST = "5dd95a4eda0d4a2a1a5b979646458f2d02e4891b57798aabea0ece85f847cb20"
 
 
 def mf(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import REPO_ROOT, make_repo, mf
+from conftest import REPO_ROOT, SMOKE_PLAN_DIGEST, make_repo, mf
 from pickforge.buildrun import (
     BUILD_FAILED,
     PASSED,
@@ -137,6 +137,13 @@ class TestInstallPlan:
         one = install_plan(repo, Pick(toolchain=V("1.0"), selected={"b": V("1.0")}))
         two = install_plan(repo, Pick(toolchain=V("1.0"), selected={"c": V("1.0")}))
         assert one.plan_digest != two.plan_digest
+
+    def test_smoke_fixture_digest_is_pinned(self, smoke_repo):
+        plan = install_plan(smoke_repo, full_pick(smoke_repo))
+        assert plan.plan_digest == SMOKE_PLAN_DIGEST
+        # the digest is the plan's own: a plan rebuilt from its fields has it too
+        rebuilt = InstallPlan(plan.toolchain, list(plan.steps), dict(plan.dependencies))
+        assert rebuilt.plan_digest == SMOKE_PLAN_DIGEST
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -14,6 +14,7 @@ from conftest import (
     PLATFORM_FIXTURE,
     RELEASE_UNIVERSE_EXCLUDES,
     SMOKE_FIXTURE,
+    SMOKE_PLAN_DIGEST,
     cli_in_child,
     raw_manifest,
     write_fixture,
@@ -72,19 +73,18 @@ class TestUsage:
         assert not (tmp_path / "box").exists()
 
 
-# every option each subcommand takes; --help lists exactly these
-_OUTPUT_OPTIONS = ["--format", "--cache-dir"]
-_INDEX_OPTIONS = [*_OUTPUT_OPTIONS, "--index"]
+# every option each subcommand takes, and so reads; --help lists exactly these
+_INDEX_OPTIONS = ["--cache-dir", "--index"]
 _REQUEST_OPTIONS = ["--mandatory", "--optional", "--override", "--include-dev"]
 COMMAND_OPTIONS = {
-    "resolve": [*_INDEX_OPTIONS, "--toolchain", *_REQUEST_OPTIONS],
+    "resolve": ["--format", *_INDEX_OPTIONS, "--toolchain", *_REQUEST_OPTIONS],
     "release": [*_INDEX_OPTIONS, "--version", "--toolchain", *_REQUEST_OPTIONS, "--previous",
                 "--carry-previous", "--strict-removals", "--output"],
-    "diff": [*_OUTPUT_OPTIONS, "--lockfile", "--from", "--to"],
-    "upgrade": [*_OUTPUT_OPTIONS, "--lockfile", "--from", "--to"],
-    "coordinate": [*_INDEX_OPTIONS, "--rc", "--reference", "--reference-toolchain"],
-    "policy": [*_INDEX_OPTIONS, "--package"],
-    "smoke": [*_INDEX_OPTIONS, "--lockfile", "--toolchain", "--sandbox", "--jobs"],
+    "diff": ["--format", "--lockfile", "--from", "--to"],
+    "upgrade": ["--format", "--lockfile", "--from", "--to"],
+    "coordinate": ["--format", *_INDEX_OPTIONS, "--rc", "--reference", "--reference-toolchain"],
+    "policy": ["--format", *_INDEX_OPTIONS, "--package"],
+    "smoke": ["--format", *_INDEX_OPTIONS, "--lockfile", "--toolchain", "--sandbox", "--jobs"],
     "script": [*_INDEX_OPTIONS, "--lockfile", "--toolchain"],
 }
 RESOLVE = ["resolve", "--index", str(PLATFORM_FIXTURE)]
@@ -167,6 +167,20 @@ class TestGrammar:
         assert exc.value.code == EXIT_OK
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         assert listed - {"--help"} == set(COMMAND_OPTIONS[command])
+
+    @pytest.mark.parametrize("argv", [
+        ["release", "--index", "x", "--version", "2022.01.0", "--format", "json"],
+        ["script", "--index", "x", "--lockfile", "y", "--format", "json"],
+        ["diff", "--lockfile", "y", "--from", "8.13", "--to", "8.14", "--cache-dir", "d"],
+        ["upgrade", "--lockfile", "y", "--from", "8.13", "--to", "8.15", "--cache-dir", "d"],
+    ], ids=["release-format", "script-format", "diff-cache-dir", "upgrade-cache-dir"])
+    def test_options_a_command_would_ignore_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"pickforge {argv[0]}: error: unrecognized arguments: {argv[-2]}\n" in err
 
     @pytest.mark.parametrize("argv, named", [
         ([], "command"),
@@ -303,6 +317,24 @@ class TestRelease:
         )
         assert code == EXIT_IO
         assert "'bogus'" in err and "missing-index" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--strict-removals"], ["--carry-previous"], ["--carry-previous", "--strict-removals"],
+    ], ids=["strict-removals", "carry-previous", "both"])
+    def test_previous_only_options_need_previous(self, capsys, tmp_path, flags):
+        # neither the index nor the output is touched
+        output = tmp_path / "out.lock.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["release", "--index", str(tmp_path / "missing-index"),
+                  "--version", "2022.01.0", *flags, "--output", str(output)])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: pickforge release")
+        flag = "--strict-removals" if "--strict-removals" in flags else "--carry-previous"
+        assert f"pickforge release: error: argument {flag}: requires --previous\n" in err
+        assert "missing-index" not in err
+        assert not output.exists()
 
     def test_byte_identical_across_processes(self, tmp_path):
         outputs = []
@@ -671,6 +703,17 @@ class TestSmokeAndScript:
         assert code_a == code_b == EXIT_OK
         assert out_a == out_b
         assert out_a.startswith("#!/bin/sh")
+
+    def test_script_prints_the_plan_digest(self, capsys, tmp_path):
+        lock = self.smoke_lockfile(tmp_path)
+        code, out, _ = run_cli(capsys, "script", "--index", str(SMOKE_FIXTURE),
+                               "--lockfile", str(lock))
+        assert code == EXIT_OK
+        assert out.splitlines()[:3] == [
+            "#!/bin/sh",
+            "# install script for toolchain 1.0 (6 steps)",
+            f"# plan digest: {SMOKE_PLAN_DIGEST}",
+        ]
 
 
 class TestEntrypoint:

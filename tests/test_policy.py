@@ -74,6 +74,12 @@ class TestCheckSuccession:
         with pytest.raises(UnknownPackageError):
             check_succession(repo, "ghost")
 
+    @pytest.mark.parametrize("toolchains", [[], ["8.15"]], ids=["none", "one"])
+    def test_unknown_package_without_a_pair(self, toolchains):
+        repo = make_repo(toolchains, [mf("p", "1.0")])
+        with pytest.raises(UnknownPackageError, match="'ghost'"):
+            check_succession(repo, "ghost")
+
     def test_single_toolchain_repo_is_vacuously_compliant(self):
         repo = make_repo(["8.15"], [mf("p", "1.0", toolchain="=8.15")])
         report = check_succession(repo, "p")
@@ -290,9 +296,12 @@ class TestCheckRemovals:
         violations = check_removals(previous, candidate, repo)
         assert [v.package for v in violations] == ["extra"]
 
-    def test_without_repo_every_drop_is_flagged(self):
+    @pytest.mark.parametrize("extra", [[], [mf("extra", "2.0", deprecated=True)]],
+                             ids=["no-package", "other-version"])
+    def test_drop_whose_manifest_the_repo_lacks_is_flagged(self, extra):
         _, previous, candidate = self.releases(drop_extra=True, deprecate_extra=True)
-        violations = check_removals(previous, candidate)
+        repo = make_repo(["8.14", "8.15"], [mf("core", "1.0"), *extra])
+        violations = check_removals(previous, candidate, repo)
         assert [v.package for v in violations] == ["extra"]
         assert str(violations[0]) == (
             "RemovalWithoutDeprecation: package extra was selected in 2022.01.0 "

@@ -92,7 +92,8 @@ class TestAssembleRelease:
             CV("2022.06.0"), [pick("8.15", core="1.0")], previous=previous
         )
         assert release.predecessor == previous.version
-        warnings = check_removals(previous, release)
+        repo = make_repo(["8.14", "8.15"], [mf("core", "1.0"), mf("extra", "1.0")])
+        warnings = check_removals(previous, release, repo)
         assert [w.kind for w in warnings] == [REMOVAL_WITHOUT_DEPRECATION]
         assert warnings[0].package == "extra"
 
