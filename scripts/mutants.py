@@ -42,6 +42,9 @@ BUILDRUN = "src/pickforge/buildrun.py"
 REFERENCE = "src/pickforge/reference.py"
 POLICY = "src/pickforge/policy.py"
 RELEASE = "src/pickforge/release.py"
+VERSIONING = "src/pickforge/versioning.py"
+INDEX = "src/pickforge/index.py"
+CLI = "src/pickforge/cli.py"
 
 Mutant = namedtuple("Mutant", "name path text replacement effect equivalent", defaults=(False,))
 
@@ -196,6 +199,44 @@ MUTANTS = (
         "succession-keeps-the-oldest-witness", POLICY,
         "next((v for v in admitted[i] if", "next((v for v in reversed(admitted[i]) if",
         "the oldest bridging version is named instead of the newest",
+    ),
+    # the solver and the reference share the code below, or neither runs it,
+    # so criteria 1 and 2 cannot kill these mutants; only direct tests can
+    Mutant(
+        "alternatives-read-as-conjunction", VERSIONING,
+        "return any(\n        all(_OP_TESTS", "return all(\n        all(_OP_TESTS",
+        "a constraint holds only if every '|' alternative holds, as if '|' were ','",
+    ),
+    Mutant(
+        "suffix-sorts-above-release", VERSIONING,
+        'self._key = (segments[:end], suffix is None, suffix or "")',
+        'self._key = (segments[:end], suffix is not None, suffix or "")',
+        "a suffixed version sorts above its release (2.0-rc1 > 2.0)",
+    ),
+    Mutant(
+        "dangling-dependency-accepted", INDEX,
+        "if target != name and target not in repo.packages:",
+        'if target != name and target not in repo.packages and verb != "depends on":',
+        "validation passes a dependency on an absent package",
+    ),
+    Mutant(
+        "missing-listing-scanned", INDEX,
+        'raise RepositoryError(f"missing version listing {listing}") from None',
+        "data = json.dumps(sorted(os.path.splitext(entry)[0] for entry in os.listdir(pkg_dir) "
+        'if entry.endswith(".json") and entry != "versions.json")).encode()',
+        "a local load lists a package's versions by scanning its directory when versions.json "
+        "is missing, which an HTTP load cannot do",
+    ),
+    Mutant(
+        "override-toolchain-unchecked", SOLVER,
+        "if not satisfies(req.toolchain, manifest.toolchain):\n                raise OverrideError(",
+        "if False:\n                raise OverrideError(",
+        "an override that pins a version outside the request's toolchain is accepted",
+    ),
+    Mutant(
+        "unsat-and-io-exit-codes-swapped", CLI,
+        "EXIT_UNSAT = 2\nEXIT_IO = 3", "EXIT_UNSAT = 3\nEXIT_IO = 2",
+        "an unsatisfiable request exits 3 and an I/O or data error exits 2",
     ),
 )
 

@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "solver": ("SelectionRequest", "UnsatReport", "resolve_pick"),
     "versioning": (
-        "CalendarVersion", "Constraint", "Version", "compare_versions",
-        "parse_calendar_version", "parse_constraint", "parse_version", "satisfies",
+        "CalendarVersion", "Constraint", "Version", "parse_calendar_version",
+        "parse_constraint", "parse_version", "satisfies",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,9 +6,9 @@ On-disk layout of an index (local directory or HTTP base URL):
     packages/<name>/versions.json    ["1.0", "1.1", ...]
     packages/<name>/<version>.json   one manifest per released version
 
-``versions.json`` exists so that an HTTP source is enumerable without
-directory listings; local loads fall back to scanning the directory when
-it is absent.  ``_load`` is the one walker of this layout.  It reads a
+``versions.json`` is how every source lists a package's versions, since an
+HTTP source has no directory listings; a package directory without one
+fails the load.  ``_load`` is the one walker of this layout.  It reads a
 directory through ``read_file``, and an HTTP source through ``mirror``,
 which caches the copy, keyed by the digest of ``index.json``, only once
 the index has loaded and validated.
@@ -370,22 +370,18 @@ def _load_package(
     """``read``, ``versions`` and ``constraints`` are the load's reader and memoised parsers."""
     listing = os.path.join(pkg_dir, "versions.json")
     try:
-        stems = parse_json(read(listing), listing)
+        data = read(listing)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         # only a local reader raises these; an HTTP one raises RepositoryError
         if not os.path.isdir(pkg_dir):
             raise RepositoryError(f"missing package directory {pkg_dir}") from None
-        stems = sorted(
-            os.path.splitext(entry)[0]
-            for entry in os.listdir(pkg_dir)
-            if entry.endswith(".json") and entry != "versions.json"
-        )
-    else:
-        if not isinstance(stems, list) or not all(isinstance(v, str) for v in stems):
-            raise RepositoryError(f"{listing}: expected a list of version strings")
-        # a version that parses is digits, dots and a tag: safe in a path
-        for i, text in enumerate(stems):
-            _parse_field(text, versions, listing, f"[{i}]")
+        raise RepositoryError(f"missing version listing {listing}") from None
+    stems = parse_json(data, listing)
+    if not isinstance(stems, list) or not all(isinstance(v, str) for v in stems):
+        raise RepositoryError(f"{listing}: expected a list of version strings")
+    # a version that parses is digits, dots and a tag: safe in a path
+    for i, text in enumerate(stems):
+        _parse_field(text, versions, listing, f"[{i}]")
     manifests: dict[Version, PackageManifest] = {}
     for stem in stems:
         path = os.path.join(pkg_dir, f"{stem}.json")

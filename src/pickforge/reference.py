@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .errors import PickforgeError
 from .index import Pick, Repository
-from .versioning import Version, compare_versions, satisfies
+from .versioning import Version, satisfies
 
 # type checkers read this name as true; ``typing`` is not imported for it
 TYPE_CHECKING = False
@@ -195,7 +195,7 @@ def _enum_feasible(
         if not satisfies(req.toolchain, manifest.toolchain):
             return False
         if name in req.overrides:
-            if compare_versions(version, req.overrides[name]) != 0:
+            if version != req.overrides[name]:
                 return False
         elif manifest.dev and not req.include_dev:
             return False

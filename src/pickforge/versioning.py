@@ -28,8 +28,6 @@ from operator import eq, ge, gt, le, lt, ne
 
 from .errors import PickforgeError
 
-LT, EQ, GT = -1, 0, 1
-
 _OPS = ("!=", ">=", "<=", "=", ">", "<")
 _OP_CHARS = set("=!<>")
 _TAG_CHARS = set("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -74,10 +72,6 @@ class Version:
         text = ".".join(map(str, segments))
         self._text = text if suffix is None else f"{text}-{suffix}"
 
-    @property
-    def major(self) -> int:
-        return self.segments[0]
-
     def __str__(self) -> str:
         return self._text
 
@@ -103,11 +97,6 @@ class Version:
 
     def __hash__(self) -> int:
         return self._hash
-
-
-def compare_versions(a: Version, b: Version) -> int:
-    """Total order on versions; returns LT, EQ, or GT."""
-    return EQ if a == b else LT if a < b else GT
 
 
 def parse_version(text: str) -> Version:

@@ -717,6 +717,11 @@ class TestSmokeAndScript:
 
 
 class TestEntrypoint:
+    def test_exit_codes_are_the_documented_numbers(self):
+        # scripts branch on these numbers, as the README's table gives them
+        codes = (EXIT_OK, EXIT_FAILURE, EXIT_UNSAT, EXIT_IO, EXIT_USAGE, cli.EXIT_PIPE)
+        assert codes == (0, 1, 2, 3, 64, 141)
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pickforge.cli", "resolve",
@@ -904,6 +909,30 @@ class TestOutputGoldens:
             capsys, "cli-smoke.txt", EXIT_FAILURE,
             "smoke", "--index", str(SMOKE_FIXTURE), "--lockfile", str(lock),
             "--sandbox", str(tmp_path / "box"), "--jobs", "2",
+        )
+
+    @pytest.mark.parametrize(
+        "golden, index, argv",
+        [
+            ("cli-release-platform.lock.json", PLATFORM_FIXTURE, ("--version", "2022.01.0")),
+            ("cli-release-smoke.lock.json", SMOKE_FIXTURE, ("--version", "2022.01.0")),
+            ("cli-release-carry.lock.json", PLATFORM_FIXTURE,
+             ("--version", "2022.06.0", "--toolchain", "8.15", "--carry-previous",
+              "--previous", str(GOLDEN_DIR / "cli-release-platform.lock.json"))),
+        ],
+        ids=["platform", "smoke", "carry-previous"],
+    )
+    def test_release_lockfile(self, capsys, tmp_path, golden, index, argv):
+        lockfile = tmp_path / golden
+        assert run_cli(
+            capsys, "release", "--index", str(index), *argv, "--output", str(lockfile)
+        ) == (EXIT_OK, "", "")
+        assert lockfile.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+    def test_script(self, capsys):
+        self.check(
+            capsys, "cli-script-smoke.sh", EXIT_OK, "script", "--index", str(SMOKE_FIXTURE),
+            "--lockfile", str(GOLDEN_DIR / "cli-release-smoke.lock.json"),
         )
 
 

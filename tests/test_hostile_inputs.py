@@ -6,7 +6,9 @@ command other than the fixture's ``true`` is not run.
 
 Each mutated index is also served over localhost HTTP and the op run again
 on its URL, with a fresh cache directory: it must end as the local run did,
-and the cache must hold a copy only if the index loads.
+and the cache must hold a copy only if the index loads.  The same holds
+when a package directory loses its listing, a listed manifest or itself, or
+gains a manifest that its listing omits.
 
 In the manner of QuickCheck (Claessen & Hughes, ICFP 2000), Hypothesis
 mutates one file of a copy of ``fixtures/platform``, or a lockfile that
@@ -268,35 +270,44 @@ def _run_mutated(root, target, mutation, op: str, url: str | None = None) -> Non
     """Run ``op`` with the file at ``target`` mutated, then restore the file
     and empty the output directory, where ``smoke`` keeps its sandbox.
 
-    With ``url``, the base URL of the served index, run ``op`` once more on
-    it with an empty cache directory: it must end with the local run's exit
-    code and stdout, and leave one cache entry if the index loads, else none.
+    With ``url``, the base URL of the served index, check the op over HTTP
+    too, as ``_run_served`` does.
     """
     original = target.read_bytes()
     mutated = mutate(original, mutation)
     assume(op != "smoke" or not _sets_a_command(mutated))
     target.write_bytes(mutated)
     try:
-        local = run_op(_argv(root, op), writable=(str(root / "out"), str(root / "cache")))
-        if url is None:
-            return
-        _empty(root / "out")
-        shutil.rmtree(root / "http", ignore_errors=True)
-        (root / "http").mkdir()
-        cache = root / "http" / "cache"  # the op makes it
-        writable = (str(root / "out"), str(root / "http"))
-        served = run_op(_argv(root, op, url, cache), writable)
-        assert served == local
-        try:
-            load_repository(root / "index")
-            loads = True
-        except RepositoryError:
-            loads = False
-        # nothing but the one validated copy: no staging directory either
-        assert len(list(cache.iterdir()) if cache.is_dir() else []) == loads
+        local = _run_local(root, op)
+        if url is not None:
+            _run_served(root, op, url, local)
     finally:
         target.write_bytes(original)
         _empty(root / "out")
+
+
+def _run_local(root, op: str) -> tuple[int, str]:
+    """Run ``op`` on the workspace's index; its exit code and stdout."""
+    return run_op(_argv(root, op), writable=(str(root / "out"), str(root / "cache")))
+
+
+def _run_served(root, op: str, url: str, local: tuple[int, str]) -> None:
+    """Run ``op`` on ``url``, the base URL of the served index, with an empty
+    cache directory: it must end with ``local``, the local run's exit code and
+    stdout, and leave one cache entry if the index loads, else none."""
+    _empty(root / "out")
+    shutil.rmtree(root / "http", ignore_errors=True)
+    (root / "http").mkdir()
+    cache = root / "http" / "cache"  # the op makes it
+    writable = (str(root / "out"), str(root / "http"))
+    assert run_op(_argv(root, op, url, cache), writable) == local
+    try:
+        load_repository(root / "index")
+        loads = True
+    except RepositoryError:
+        loads = False
+    # nothing but the one validated copy: no staging directory either
+    assert len(list(cache.iterdir()) if cache.is_dir() else []) == loads
 
 
 _INDEX_FILES = sorted(
@@ -321,6 +332,60 @@ _INDEX_FILES = sorted(
 @example(relpath="index.json", mutation=("drop", 2, 0), op="policy")
 def test_mutated_index_file(workspace, index_url, relpath, mutation, op):
     _run_mutated(workspace, workspace / "index" / relpath, mutation, op, index_url)
+
+
+_PACKAGES = sorted(path.name for path in (PLATFORM_FIXTURE / "packages").iterdir())
+# edits of a package directory's files, not of their contents; only the last
+# leaves an index that loads, since a manifest the listing omits is not read
+STRUCTURAL_EDITS = (
+    "drop-listing", "drop-listed-manifest", "drop-package-directory", "add-unlisted-manifest",
+)
+
+
+def _edit_structure(package_dir: Path, edit: str, position: int) -> None:
+    """Apply ``edit`` to ``package_dir``; ``position`` picks the version of a
+    dropped manifest modulo the number listed."""
+    listing = package_dir / "versions.json"
+    stems = json.loads(listing.read_bytes())
+    if edit == "drop-listing":
+        listing.unlink()
+    elif edit == "drop-listed-manifest":
+        (package_dir / f"{stems[position % len(stems)]}.json").unlink()
+    elif edit == "drop-package-directory":
+        shutil.rmtree(package_dir)
+    else:
+        manifest = json.loads((package_dir / f"{stems[-1]}.json").read_bytes())
+        manifest["version"] = "99.0"
+        (package_dir / "99.0.json").write_text(json.dumps(manifest))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(
+    package=st.sampled_from(_PACKAGES),
+    edit=st.sampled_from(STRUCTURAL_EDITS),
+    position=_POSITIONS,
+)
+@example(package="aldergrove", edit="drop-listing", position=0)
+@example(package="aldergrove", edit="drop-listed-manifest", position=1)
+@example(package="aldergrove", edit="drop-package-directory", position=0)
+@example(package="aldergrove", edit="add-unlisted-manifest", position=0)
+def test_local_and_served_loads_agree_on_structure(workspace, index_url, package, edit, position):
+    # one layout for both kinds of source: what a directory load finds, or
+    # misses, an HTTP load of the same files finds or misses too
+    package_dir = workspace / "index" / "packages" / package
+    saved = workspace / "saved"
+    shutil.copytree(package_dir, saved)
+    try:
+        _edit_structure(package_dir, edit, position)
+        local = _run_local(workspace, "resolve")
+        expected = cli.EXIT_OK if edit == "add-unlisted-manifest" else cli.EXIT_IO
+        assert local[0] == expected
+        _run_served(workspace, "resolve", index_url, local)
+    finally:
+        shutil.rmtree(package_dir, ignore_errors=True)
+        shutil.copytree(saved, package_dir)
+        shutil.rmtree(saved)
+        _empty(workspace / "out")
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

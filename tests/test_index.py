@@ -174,11 +174,15 @@ class TestLoadLocal:
             f"{path}: field 'depends[0]': too many digits at offset 4 in {constraint!r}"
         )
 
-    def test_scan_fallback_without_versions_listing(self, tmp_path):
+    def test_package_directory_without_versions_listing(self, tmp_path):
+        # a directory is not scanned for manifests: it needs the listing that
+        # an HTTP source needs
         write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
-        (tmp_path / "packages" / "alpha" / "versions.json").unlink()
-        repo = load_repository(tmp_path)
-        assert len(repo.packages["alpha"]) == 1
+        listing = tmp_path / "packages" / "alpha" / "versions.json"
+        listing.unlink()
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(tmp_path)
+        assert str(exc.value) == f"missing version listing {listing}"
 
     def test_deterministic(self, tmp_path):
         write_fixture(

@@ -3,9 +3,10 @@
 Each variant runs every op in one child process through ``cli.main``: a
 hash seed, a umask, a locale, a time zone, a relative or absolute index
 path, the indexes served over HTTP, an index copy written in reverse file
-order, and one without ``versions.json`` files, so that the loader scans
-the package directories.  Every variant must give the same exit code,
-stdout, stderr and output file bytes for every op.
+order, and one whose ``versions.json`` files list each package's versions
+newest first, where the fixtures list them oldest first.  Every variant must
+give the same exit code, stdout, stderr and output file bytes for every op,
+and the platform release must match its golden lockfile byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import shutil
 import subprocess
 import sys
 
-from conftest import PLATFORM_FIXTURE, REPO_ROOT, raw_manifest, write_fixture
+from conftest import GOLDEN_DIR, PLATFORM_FIXTURE, REPO_ROOT, raw_manifest, write_fixture
 
 # scripts/ is not a package, so the generators are loaded by path
 _spec = importlib.util.spec_from_file_location(
@@ -76,15 +77,17 @@ def _write_indexes(root):
     return conflicted_req, unsat_req
 
 
-def _copy(source, target, reverse: bool, listings: bool) -> None:
+def _copy(source, target, reverse_files: bool, reverse_listings: bool) -> None:
     """Copy the index files under ``source``, in reverse name order or not,
-    and with or without the ``versions.json`` listings."""
+    and with each ``versions.json`` listing its versions in reverse or not."""
     files = sorted(path for path in source.rglob("*") if path.is_file())
-    for path in reversed(files) if reverse else files:
-        if listings or path.name != "versions.json":
-            copy = target / path.relative_to(source)
-            copy.parent.mkdir(parents=True, exist_ok=True)
-            copy.write_bytes(path.read_bytes())
+    for path in reversed(files) if reverse_files else files:
+        data = path.read_bytes()
+        if reverse_listings and path.name == "versions.json":
+            data = json.dumps(json.loads(data)[::-1]).encode()
+        copy = target / path.relative_to(source)
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        copy.write_bytes(data)
 
 
 def _ops(indexes: str, conflicted_req, unsat_req) -> list:
@@ -118,10 +121,10 @@ def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path, serve_index
     copies = {
         "indexes": originals,
         "reversed": tmp_path / "reversed",
-        "unlisted": tmp_path / "unlisted",
+        "newest first": tmp_path / "newest-first",
     }
-    _copy(originals, copies["reversed"], reverse=True, listings=True)
-    _copy(originals, copies["unlisted"], reverse=False, listings=False)
+    _copy(originals, copies["reversed"], reverse_files=True, reverse_listings=False)
+    _copy(originals, copies["newest first"], reverse_files=False, reverse_listings=True)
     served = start_server(originals)
     # each variant: its environment, umask, index copy, and how the index is named
     variants = {
@@ -135,7 +138,7 @@ def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path, serve_index
         "relative index path": ({}, 0o022, "indexes", "relative"),
         "served over HTTP": ({}, 0o022, "indexes", "http"),
         "reverse file order": ({}, 0o022, "reversed", "absolute"),
-        "no versions.json": ({}, 0o022, "unlisted", "absolute"),
+        "listings newest first": ({}, 0o022, "newest first", "absolute"),
     }
     outputs = {}
     for number, (label, (extra_env, umask, copy, naming)) in enumerate(variants.items()):
@@ -161,5 +164,7 @@ def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path, serve_index
     first = outputs["hash seed 0"]
     assert [code for _, code, _, _, _ in first] == [0, 2, 0, 0, 0, 3, 0, 2]
     assert first[5][3] == "pickforge: error: dependency cycle: anvil -> crucible -> anvil\n"
+    golden = (GOLDEN_DIR / "cli-release-platform.lock.json").read_bytes()
+    assert first[0][4].encode("latin-1") == golden
     for label, results in outputs.items():
         assert results == first, label

@@ -5,14 +5,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from pickforge.versioning import (
-    EQ,
-    GT,
-    LT,
     CalendarVersion,
     Constraint,
     ParseError,
     Version,
-    compare_versions,
     parse_calendar_version,
     parse_constraint,
     parse_version,
@@ -27,7 +23,6 @@ class TestParseVersion:
         v = parse_version("8.15")
         assert v.segments == (8, 15)
         assert v.suffix is None
-        assert v.major == 8
 
     def test_suffix(self):
         v = parse_version("1.0.0-rc1")
@@ -78,21 +73,32 @@ class TestParseVersion:
             assert exc.value.offset == offset
 
 
+def operators(a: Version, b: Version) -> tuple[bool, ...]:
+    """``a < b``, ``a <= b``, ``a == b``, ``a != b``, ``a >= b`` and ``a > b``."""
+    return (a < b, a <= b, a == b, a != b, a >= b, a > b)
+
+
+def expected_operators(sign: int) -> tuple[bool, ...]:
+    """What ``operators`` returns when ``a`` is below (-1), equal to (0) or
+    above (1) ``b``."""
+    return (sign < 0, sign <= 0, sign == 0, sign != 0, sign >= 0, sign > 0)
+
+
 class TestCompareVersions:
     @pytest.mark.parametrize(
         "a,b,expected",
         [
-            ("8.12", "8.15", LT),
-            ("1.0", "1.0.0", EQ),
-            ("2.0.0-rc1", "2.0.0", LT),
-            ("2.0.0", "2.0.0-rc1", GT),
-            ("1.0-alpha", "1.0-beta", LT),
-            ("1.2", "1.10", LT),
-            ("3", "2.9.9", GT),
+            ("8.12", "8.15", -1),
+            ("1.0", "1.0.0", 0),
+            ("2.0.0-rc1", "2.0.0", -1),
+            ("2.0.0", "2.0.0-rc1", 1),
+            ("1.0-alpha", "1.0-beta", -1),
+            ("1.2", "1.10", -1),
+            ("3", "2.9.9", 1),
         ],
     )
     def test_cases(self, a, b, expected):
-        assert compare_versions(parse_version(a), parse_version(b)) == expected
+        assert operators(parse_version(a), parse_version(b)) == expected_operators(expected)
 
     def test_equal_versions_hash_alike(self):
         assert hash(parse_version("1.0")) == hash(parse_version("1.0.0"))
@@ -100,7 +106,8 @@ class TestCompareVersions:
 
     @given(versions, versions)
     def test_antisymmetric(self, a, b):
-        assert compare_versions(a, b) == -compare_versions(b, a)
+        assert not (a < b and b < a)
+        assert (a < b, a <= b, a == b) == (b > a, b >= a, b == a)
 
     @given(versions, versions, versions)
     def test_transitive(self, a, b, c):
@@ -110,8 +117,10 @@ class TestCompareVersions:
 
     @given(versions, versions)
     def test_total(self, a, b):
-        assert compare_versions(a, b) in (LT, EQ, GT)
-        assert (a == b) == (compare_versions(a, b) == EQ)
+        # exactly one of below, equal and above; equal is what == says
+        assert (a < b) + (a == b) + (a > b) == 1
+        assert (a == b) == (not a < b and not a > b) == (a <= b and a >= b)
+        assert (a != b) == (not a == b)
 
 
 def padded_cmp(a: Version, b: Version) -> int:
@@ -122,12 +131,12 @@ def padded_cmp(a: Version, b: Version) -> int:
     x = a.segments + (0,) * (width - len(a.segments))
     y = b.segments + (0,) * (width - len(b.segments))
     if x != y:
-        return LT if x < y else GT
+        return -1 if x < y else 1
     if a.suffix == b.suffix:
-        return EQ
+        return 0
     if a.suffix is None or b.suffix is None:
-        return GT if a.suffix is None else LT
-    return LT if a.suffix < b.suffix else GT
+        return 1 if a.suffix is None else -1
+    return -1 if a.suffix < b.suffix else 1
 
 
 # few distinct segments and suffixes, so padded ties and suffix ties are common
@@ -142,17 +151,13 @@ class TestCompareAgainstPaddedReference:
     @given(close_versions, close_versions)
     def test_close_versions(self, a, b):
         expected = padded_cmp(a, b)
-        assert compare_versions(a, b) == expected
-        assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
-            expected == LT, expected != GT, expected == EQ,
-            expected != EQ, expected != LT, expected == GT,
-        )
-        if expected == EQ:
+        assert operators(a, b) == expected_operators(expected)
+        if expected == 0:
             assert hash(a) == hash(b)
 
     @given(versions, versions)
     def test_any_versions(self, a, b):
-        assert compare_versions(a, b) == padded_cmp(a, b)
+        assert operators(a, b) == expected_operators(padded_cmp(a, b))
 
 
 class TestParseConstraint:
@@ -227,6 +232,19 @@ class TestSatisfies:
     def test_disjunction_is_or(self, v, bound):
         c = Constraint(((("<", bound),), ((">=", bound),)))
         assert satisfies(v, c)
+
+    def test_bar_separates_alternatives(self):
+        c = parse_constraint("<1.0 | >=2.0, !=2.1")
+        texts = ("0.9", "1.5", "2.0", "2.1", "3")
+        assert [satisfies(parse_version(t), c) for t in texts] == [True, False, True, False, True]
+
+    @given(versions, constraints)
+    def test_alternatives_of_conjunctions(self, v, c):
+        # each atom on its own, then "," as and and "|" as or
+        assert satisfies(v, c) == any(
+            all(satisfies(v, Constraint((((op, bound),),))) for op, bound in clause)
+            for clause in c.clauses
+        )
 
 
 class TestCalendarVersion:
