@@ -234,6 +234,30 @@ MUTANTS = (
         "an override that pins a version outside the request's toolchain is accepted",
     ),
     Mutant(
+        "http-404-read-as-unreachable", INDEX,
+        'if getattr(exc, "code", None) == 404:', "if False:",
+        "a file an HTTP source lacks reads as a source that is down, not as the missing file "
+        "a directory load names",
+    ),
+    Mutant(
+        "http-body-read-whole", INDEX,
+        "data = response.read(FETCH_MAX_BYTES + 1)", "data = response.read()",
+        "an HTTP body is read to its end before the cap is checked, so a server that never "
+        "ends one fills memory",
+    ),
+    Mutant(
+        "lone-culprit-narrated-as-joint", SOLVER,
+        "if len(culprits) == 1:\n        narrative = [", "if not culprits:\n        narrative = [",
+        "a lone culprit is reported as a jointly unsatisfiable set, installable alone",
+    ),
+    Mutant(
+        "installable-alone-lines-dropped", SOLVER,
+        '*(f"{name}: installable alone but incompatible with the other culprits"\n'
+        "              for name in culprits),",
+        "",
+        "a joint core's report no longer says that each culprit is installable alone",
+    ),
+    Mutant(
         "unsat-and-io-exit-codes-swapped", CLI,
         "EXIT_UNSAT = 2\nEXIT_IO = 3", "EXIT_UNSAT = 3\nEXIT_IO = 2",
         "an unsatisfiable request exits 3 and an I/O or data error exits 2",

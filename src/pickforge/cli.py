@@ -55,10 +55,7 @@ _HELP_NOTES = {REQUIRED: " (required)", REPEAT: " (repeatable)"}
 
 # each option: (flag, dest, kind, default, help); a command takes only the options it reads
 _FORMAT = ("--format", "format", ("text", "json"), "text", "output format: text (default) or json")
-_INDEX = (
-    ("--cache-dir", "cache_dir", VALUE, None, "override the PICKFORGE_CACHE mirror directory"),
-    ("--index", "index", REQUIRED, None, "index directory or HTTP base URL"),
-)
+_INDEX = ("--index", "index", REQUIRED, None, "index directory or HTTP base URL")
 _REQUEST = (
     ("--mandatory", "mandatory", REPEAT, None, "package that must be selected"),
     ("--optional", "optional", REPEAT, None, "package to select if possible (default: all)"),
@@ -75,11 +72,11 @@ _PICK = ("--toolchain", "toolchain", VALUE, None, "toolchain of the pick (defaul
 # each subcommand: (help, options); ``main`` runs it with ``cmd_<name>``
 COMMANDS = {
     "resolve": ("resolve a pick for one toolchain", (
-        _FORMAT, *_INDEX, ("--toolchain", "toolchain", REQUIRED, None, "toolchain to resolve for"),
+        _FORMAT, _INDEX, ("--toolchain", "toolchain", REQUIRED, None, "toolchain to resolve for"),
         *_REQUEST,
     )),
     "release": ("resolve picks and write a lockfile", (
-        *_INDEX,
+        _INDEX,
         ("--version", "version", REQUIRED, None, "release version: YYYY.MM.P"),
         ("--toolchain", "toolchain", REPEAT, None, "toolchain to resolve (default: all)"),
         *_REQUEST,
@@ -93,22 +90,22 @@ COMMANDS = {
     "diff": ("diff two picks of a lockfile", (_FORMAT, _LOCKFILE, *_FROM_TO)),
     "upgrade": ("stepwise upgrade path between toolchains", (_FORMAT, _LOCKFILE, *_FROM_TO)),
     "coordinate": ("maintainer report for a toolchain release candidate", (
-        _FORMAT, *_INDEX,
+        _FORMAT, _INDEX,
         ("--rc", "rc", REQUIRED, None, "toolchain release candidate"),
         ("--reference", "reference", REQUIRED, None, "lockfile to report against"),
         ("--reference-toolchain", "reference_toolchain", VALUE, None,
          "pick of the reference (default: newest)"),
     )),
     "policy": ("succession policy checks", (
-        _FORMAT, *_INDEX,
+        _FORMAT, _INDEX,
         ("--package", "package", REPEAT, None, "package to check (default: all)"),
     )),
     "smoke": ("run the smoke-test kit for a pick", (
-        _FORMAT, *_INDEX, _LOCKFILE, _PICK,
+        _FORMAT, _INDEX, _LOCKFILE, _PICK,
         ("--sandbox", "sandbox", REQUIRED, None, "empty directory to build in"),
         ("--jobs", "jobs", _positive_int, 1, "steps to run at once (default: 1)"),
     )),
-    "script": ("emit a standalone install script", (*_INDEX, _LOCKFILE, _PICK)),
+    "script": ("emit a standalone install script", (_INDEX, _LOCKFILE, _PICK)),
 }
 
 
@@ -247,10 +244,6 @@ def _emit(result, output_format: str) -> None:
             print(item.to_text())
 
 
-def _load_index(args) -> Repository:
-    return load_repository(args.index, cache_dir=args.cache_dir)
-
-
 def _read_lockfile(path: str) -> Release:
     """The release in the lockfile at ``path``, which may be a pipe: ``<(...)``."""
     from . import release
@@ -295,7 +288,7 @@ def cmd_resolve(args) -> int:
     from . import solver
 
     toolchain, overrides = parse_version(args.toolchain), _parse_overrides(args.override)
-    repo = _load_index(args)
+    repo = load_repository(args.index)
     result = solver.resolve_pick(repo, _request(repo, args, toolchain, overrides))
     _emit(result, args.format)
     return EXIT_UNSAT if isinstance(result, solver.UnsatReport) else EXIT_OK
@@ -311,7 +304,7 @@ def cmd_release(args) -> int:
     toolchains = [parse_version(text) for text in args.toolchain]
     overrides = _parse_overrides(args.override)
     previous = _read_lockfile(args.previous) if args.previous else None
-    repo = _load_index(args)
+    repo = load_repository(args.index)
     picks = []
     for toolchain in toolchains or repo.toolchains:
         result = solver.resolve_pick(repo, _request(repo, args, toolchain, overrides))
@@ -366,7 +359,7 @@ def cmd_upgrade(args) -> int:
 def cmd_coordinate(args) -> int:
     from . import policy
 
-    repo = _load_index(args)
+    repo = load_repository(args.index)
     reference = _pick_from_lockfile(args.reference, args.reference_toolchain)
     _emit(policy.coordinate(repo, parse_version(args.rc), reference), args.format)
     return EXIT_OK
@@ -375,7 +368,7 @@ def cmd_coordinate(args) -> int:
 def cmd_policy(args) -> int:
     from . import policy
 
-    repo = _load_index(args)
+    repo = load_repository(args.index)
     names = args.package or sorted(repo.packages)
     reports = [policy.check_succession(repo, name) for name in names]
     _emit(reports, args.format)
@@ -385,7 +378,7 @@ def cmd_policy(args) -> int:
 def cmd_smoke(args) -> int:
     from . import buildrun
 
-    repo = _load_index(args)
+    repo = load_repository(args.index)
     plan = buildrun.install_plan(repo, _pick_from_lockfile(args.lockfile, args.toolchain))
     report = buildrun.run_plan(plan, args.sandbox, max_parallel=args.jobs)
     _emit(report, args.format)
@@ -395,7 +388,7 @@ def cmd_smoke(args) -> int:
 def cmd_script(args) -> int:
     from . import buildrun
 
-    repo = _load_index(args)
+    repo = load_repository(args.index)
     plan = buildrun.install_plan(repo, _pick_from_lockfile(args.lockfile, args.toolchain))
     sys.stdout.write(buildrun.emit_install_script(plan))
     return EXIT_OK

@@ -9,13 +9,13 @@ On-disk layout of an index (local directory or HTTP base URL):
 ``versions.json`` is how every source lists a package's versions, since an
 HTTP source has no directory listings; a package directory without one
 fails the load.  ``_load`` is the one walker of this layout.  It reads a
-directory through ``read_file``, and an HTTP source through ``mirror``,
-which caches the copy, keyed by the digest of ``index.json``, only once
-the index has loaded and validated.
+directory through ``read_file`` and an HTTP source through ``_fetch``, and
+reports a file either reader cannot find in the same words.  Every HTTP
+load fetches the server's current files and writes nothing.
 
-Every index file is read whole by ``read_file``, without blocking, and
-must be a regular file of at most ``FETCH_MAX_BYTES``, the cap an HTTP body
-has.  A FIFO, a device or a larger file fails the load with a
+Every local index file is read whole by ``read_file``, without blocking,
+and must be a regular file of at most ``FETCH_MAX_BYTES``, the cap an HTTP
+body has.  A FIFO, a device or a larger file fails the load with a
 RepositoryError naming it.  ``parse_json`` parses every JSON input, lockfiles
 too: UTF-8 only, and what does not parse raises a named error.
 """
@@ -36,6 +36,8 @@ from .versioning import Constraint, Version, parse_constraint, parse_version, sa
 # largest body one request may return, and largest index file a load
 # reads; a longer one fails the load
 FETCH_MAX_BYTES = 16 * 2**20
+# seconds an HTTP source may stall one request before the load fails
+FETCH_TIMEOUT_S = 30
 # bytes asked of one os.read when reading an input file
 _READ_CHUNK = 2**16
 # a FIFO opened without O_NONBLOCK blocks until some process writes to it
@@ -254,7 +256,7 @@ def compatible_versions(
 # --- ingestion ---------------------------------------------------------------
 
 
-def load_repository(source: str | Path, cache_dir: str | Path | None = None) -> Repository:
+def load_repository(source: str | Path) -> Repository:
     """Load and validate a repository from a local directory or an HTTP base URL.
 
     Raises RepositoryError on unreachable sources, malformed manifests
@@ -263,10 +265,26 @@ def load_repository(source: str | Path, cache_dir: str | Path | None = None) -> 
     """
     text = str(source)
     if text.startswith("http://") or text.startswith("https://"):
-        from .mirror import load_http_source
-
-        return load_http_source(text, cache_dir)
+        return _load(text.rstrip("/"), _fetch, source)
     return _load(str(Path(source)), read_file, source)
+
+
+def _fetch(url: str) -> bytes:
+    """The body at ``url``, at most FETCH_MAX_BYTES.  A 404 raises
+    FileNotFoundError, as ``read_file`` does for a missing file; any other
+    failed request raises RepositoryError."""
+    import urllib.request  # only an HTTP load pays for its import
+
+    try:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
+            data = response.read(FETCH_MAX_BYTES + 1)
+    except OSError as exc:  # urllib.error.HTTPError, with its ``code``, is one
+        if getattr(exc, "code", None) == 404:
+            raise FileNotFoundError(f"{url}: HTTP 404") from None
+        raise RepositoryError(f"unreachable source {url}: {exc}") from exc
+    if len(data) > FETCH_MAX_BYTES:
+        raise RepositoryError(f"{url} exceeds {FETCH_MAX_BYTES} bytes")
+    return data
 
 
 def parse_json(data: bytes, context: str, error: type[PickforgeError] = RepositoryError):
@@ -372,9 +390,6 @@ def _load_package(
     try:
         data = read(listing)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        # only a local reader raises these; an HTTP one raises RepositoryError
-        if not os.path.isdir(pkg_dir):
-            raise RepositoryError(f"missing package directory {pkg_dir}") from None
         raise RepositoryError(f"missing version listing {listing}") from None
     stems = parse_json(data, listing)
     if not isinstance(stems, list) or not all(isinstance(v, str) for v in stems):

@@ -141,10 +141,10 @@ class CountingHandler(http.server.SimpleHTTPRequestHandler):
         pass
 
 
-def start_server(directory: Path) -> tuple[http.server.ThreadingHTTPServer, str]:
-    """A server of ``directory`` on localhost, running in a thread, and its
-    base URL; the caller shuts it down."""
-    handler = partial(CountingHandler, directory=str(directory))
+def start_server(directory: Path, handler=None) -> tuple[http.server.ThreadingHTTPServer, str]:
+    """A server of ``directory`` on localhost, or of ``handler``'s answers if
+    given, running in a thread, and its base URL; the caller shuts it down."""
+    handler = handler or partial(CountingHandler, directory=str(directory))
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server, f"http://127.0.0.1:{server.server_address[1]}"
@@ -152,11 +152,12 @@ def start_server(directory: Path) -> tuple[http.server.ThreadingHTTPServer, str]
 
 @pytest.fixture()
 def serve_index():
-    """Serve a directory over localhost HTTP; yields (make_url, request_log)."""
+    """Serve a directory, or a handler's answers, over localhost HTTP; yields
+    (make_url, request_log).  ``make_url`` takes ``start_server``'s arguments."""
     servers = []
 
-    def start(directory: Path) -> str:
-        server, url = start_server(directory)
+    def start(directory: Path | None, handler=None) -> str:
+        server, url = start_server(directory, handler)
         servers.append(server)
         return url
 
@@ -164,3 +165,15 @@ def serve_index():
     yield start, CountingHandler.requests
     for server in servers:
         server.shutdown()
+
+
+@pytest.fixture()
+def empty_home(tmp_path, monkeypatch) -> Path:
+    """An empty directory that is the test's working directory, ``HOME`` and
+    ``XDG_CACHE_HOME``: where a load that wrote a file would leave it."""
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.chdir(home)
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home / ".cache"))
+    return home

@@ -74,20 +74,20 @@ class TestUsage:
 
 
 # every option each subcommand takes, and so reads; --help lists exactly these
-_INDEX_OPTIONS = ["--cache-dir", "--index"]
 _REQUEST_OPTIONS = ["--mandatory", "--optional", "--override", "--include-dev"]
 COMMAND_OPTIONS = {
-    "resolve": ["--format", *_INDEX_OPTIONS, "--toolchain", *_REQUEST_OPTIONS],
-    "release": [*_INDEX_OPTIONS, "--version", "--toolchain", *_REQUEST_OPTIONS, "--previous",
+    "resolve": ["--format", "--index", "--toolchain", *_REQUEST_OPTIONS],
+    "release": ["--index", "--version", "--toolchain", *_REQUEST_OPTIONS, "--previous",
                 "--carry-previous", "--strict-removals", "--output"],
     "diff": ["--format", "--lockfile", "--from", "--to"],
     "upgrade": ["--format", "--lockfile", "--from", "--to"],
-    "coordinate": ["--format", *_INDEX_OPTIONS, "--rc", "--reference", "--reference-toolchain"],
-    "policy": ["--format", *_INDEX_OPTIONS, "--package"],
-    "smoke": ["--format", *_INDEX_OPTIONS, "--lockfile", "--toolchain", "--sandbox", "--jobs"],
-    "script": [*_INDEX_OPTIONS, "--lockfile", "--toolchain"],
+    "coordinate": ["--format", "--index", "--rc", "--reference", "--reference-toolchain"],
+    "policy": ["--format", "--index", "--package"],
+    "smoke": ["--format", "--index", "--lockfile", "--toolchain", "--sandbox", "--jobs"],
+    "script": ["--index", "--lockfile", "--toolchain"],
 }
 RESOLVE = ["resolve", "--index", str(PLATFORM_FIXTURE)]
+_INDEX_COMMANDS = [command for command, options in COMMAND_OPTIONS.items() if "--index" in options]
 
 
 def parsed_args(monkeypatch, argv: list[str]) -> dict:
@@ -142,9 +142,7 @@ class TestGrammar:
     def test_defaults(self, monkeypatch):
         seen = parsed_args(monkeypatch, ["smoke", "--index", "x", "--lockfile", "y",
                                          "--sandbox", "z"])
-        assert (seen["format"], seen["cache_dir"], seen["toolchain"], seen["jobs"]) == (
-            "text", None, None, 1
-        )
+        assert (seen["format"], seen["toolchain"], seen["jobs"]) == ("text", None, 1)
         seen = parsed_args(monkeypatch, ["release", "--index", "x", "--version", "2022.01.0"])
         assert (seen["output"], seen["include_dev"], seen["optional"]) == (
             "pickforge.lock.json", False, []
@@ -173,7 +171,10 @@ class TestGrammar:
         ["script", "--index", "x", "--lockfile", "y", "--format", "json"],
         ["diff", "--lockfile", "y", "--from", "8.13", "--to", "8.14", "--cache-dir", "d"],
         ["upgrade", "--lockfile", "y", "--from", "8.13", "--to", "8.15", "--cache-dir", "d"],
-    ], ids=["release-format", "script-format", "diff-cache-dir", "upgrade-cache-dir"])
+        # an HTTP load keeps no copy, so no command takes a cache directory
+        *([command, "--cache-dir", "d"] for command in _INDEX_COMMANDS),
+    ], ids=["release-format", "script-format", "diff-cache-dir", "upgrade-cache-dir",
+            *(f"{command}-cache-dir" for command in _INDEX_COMMANDS)])
     def test_options_a_command_would_ignore_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -937,23 +938,18 @@ class TestOutputGoldens:
 
 
 class TestHttpIndexFlow:
-    def test_resolve_over_http_with_cache_dir(self, capsys, serve_index, tmp_path):
+    def test_resolve_over_http_twice_writes_nothing(self, capsys, serve_index, empty_home):
         start, requests = serve_index
-        url = start(PLATFORM_FIXTURE)
-        cache = tmp_path / "mirror"
-        argv = (
-            "resolve", "--index", url, "--cache-dir", str(cache),
-            "--toolchain", "8.15", "--format", "json",
-        )
-        code, out_first, _ = run_cli(capsys, *argv)
-        assert code == EXIT_OK
+        argv = ("resolve", "--index", start(PLATFORM_FIXTURE), "--toolchain", "8.15",
+                "--format", "json")
+        first = run_cli(capsys, *argv)
+        assert first[0] == EXIT_OK
         fetched_once = len(requests)
-        code, out_second, _ = run_cli(capsys, *argv)
-        assert code == EXIT_OK
-        assert out_second == out_first
-        # the second invocation only re-checks the index digest
-        assert requests[fetched_once:] == ["/index.json"]
-        assert any(cache.iterdir())
+        assert run_cli(capsys, *argv) == first
+        # the second run fetches every file again, and neither keeps a copy
+        assert requests[fetched_once:] == requests[:fetched_once]
+        assert run_cli(capsys, *argv[:2], str(PLATFORM_FIXTURE), *argv[3:]) == first
+        assert list(empty_home.iterdir()) == []
 
 
 class TestReleaseStdout:

@@ -1,14 +1,14 @@
 """Property test: a broken index file or lockfile ends every op in a result or
 a named error with a documented exit code, never in a traceback, and the op
-writes nothing outside its output and cache directories.  ``smoke`` builds in
-a sandbox under the output directory; a mutation that would hand it a shell
-command other than the fixture's ``true`` is not run.
+writes nothing outside its output directory.  ``smoke`` builds in a sandbox
+under the output directory; a mutation that would hand it a shell command
+other than the fixture's ``true`` is not run.
 
 Each mutated index is also served over localhost HTTP and the op run again
-on its URL, with a fresh cache directory: it must end as the local run did,
-and the cache must hold a copy only if the index loads.  The same holds
-when a package directory loses its listing, a listed manifest or itself, or
-gains a manifest that its listing omits.
+on its URL: it must end as the local run did, and write nothing outside the
+output directory either.  The same holds when a package directory loses its
+listing, a listed manifest or itself, or gains a manifest that its listing
+omits; then the two runs' errors must also name the same files.
 
 In the manner of QuickCheck (Claessen & Hughes, ICFP 2000), Hypothesis
 mutates one file of a copy of ``fixtures/platform``, or a lockfile that
@@ -24,7 +24,6 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -32,11 +31,11 @@ from hypothesis import assume, example, given, settings
 
 from conftest import PLATFORM_FIXTURE, start_server
 from pickforge import cli
-from pickforge.index import RepositoryError, load_repository
 
 # every module an op may import, loaded now, so that no op imports (and
 # perhaps writes bytecode for) one while its writes are recorded
-from pickforge import buildrun, mirror, policy, release, solver  # noqa: F401
+import urllib.request  # noqa: F401
+from pickforge import buildrun, policy, release, solver  # noqa: F401
 
 DOCUMENTED_EXIT_CODES = {
     cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_UNSAT, cli.EXIT_IO, cli.EXIT_USAGE,
@@ -53,25 +52,18 @@ _CHANGE_EVENTS = {
     "os.rmdir": 1, "os.symlink": 2, "os.truncate": 1, "os.utime": 1, "shutil.rmtree": 1,
 }
 _writes: list[str] | None = None  # paths written while an op runs, else None
-# set by a recorded ``shutil.rmtree`` event, cleared when that call returns
-_removing_tree = False
 
 
 def _record_writes(event: str, args: tuple) -> None:
-    global _removing_tree
     if _writes is None:
         return
     if event == "open":
         paths = args[:1] if args[2] & _WRITE_FLAGS else ()
     elif event in ("os.remove", "os.rmdir") and args[1] != -1:
-        # relative to a directory descriptor: an entry of the tree that a
-        # recorded ``shutil.rmtree`` removes, else a write of unknown place
-        if not _removing_tree:
-            _writes.append(f"<descriptor {args[1]}>/{os.fsdecode(args[0])}")
+        # relative to a directory descriptor: a write of unknown place
+        _writes.append(f"<descriptor {args[1]}>/{os.fsdecode(args[0])}")
         return
     else:
-        if event == "shutil.rmtree":
-            _removing_tree = True
         paths = args[: _CHANGE_EVENTS.get(event, 0)]
     _writes.extend(
         os.path.abspath(os.fsdecode(path))
@@ -82,29 +74,17 @@ def _record_writes(event: str, args: tuple) -> None:
 
 # an audit hook cannot be removed; it records nothing while _writes is None
 sys.addaudithook(_record_writes)
-_rmtree = shutil.rmtree
 
 
-def _recorded_rmtree(*args, **kwargs) -> None:
-    """``shutil.rmtree`` while an op runs: the tree's entries are recorded as
-    part of the tree until the call returns."""
-    global _removing_tree
-    try:
-        _rmtree(*args, **kwargs)
-    finally:
-        _removing_tree = False
-
-
-def run_op(argv: list[str], writable: tuple[str, ...]) -> tuple[int, str]:
+def run_op(argv: list[str], writable: tuple[str, ...]) -> tuple[int, str, str]:
     """Run ``cli.main(argv)`` and check its exit code, its stderr and the paths
     it wrote, which must all lie under one of the ``writable`` directories.
-    Returns the exit code and stdout."""
+    Returns the exit code, stdout and stderr."""
     global _writes
     out, err = io.StringIO(), io.StringIO()
     _writes = []
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                mock.patch.object(shutil, "rmtree", _recorded_rmtree):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
@@ -116,7 +96,7 @@ def run_op(argv: list[str], writable: tuple[str, ...]) -> tuple[int, str]:
     assert [
         path for path in written if not any(path.startswith(d + os.sep) for d in writable)
     ] == []
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 # --- mutations ---------------------------------------------------------------
@@ -201,13 +181,12 @@ def mutate(data: bytes, mutation: tuple) -> bytes:
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A copy of the platform index, a lockfile released from it, and empty
-    output and cache directories."""
+    """A copy of the platform index, a lockfile released from it, and an empty
+    output directory."""
     root = tmp_path_factory.mktemp("hostile")
     shutil.copytree(PLATFORM_FIXTURE, root / "index")
     (root / "lock").mkdir()
     (root / "out").mkdir()
-    (root / "cache").mkdir()
     lockfile = root / "lock" / "pickforge.lock.json"
     assert cli.main([
         "release", "--index", str(root / "index"), "--version", "2022.01.0",
@@ -224,10 +203,9 @@ def index_url(workspace):
     server.shutdown()
 
 
-def _argv(root, op: str, source: str | None = None, cache: Path | None = None) -> list[str]:
-    """``op``'s arguments, on the local index and cache unless ``source`` and
-    ``cache`` name others."""
-    index = ["--index", source or str(root / "index"), "--cache-dir", str(cache or root / "cache")]
+def _argv(root, op: str, source: str | None = None) -> list[str]:
+    """``op``'s arguments, on the local index unless ``source`` names another."""
+    index = ["--index", source or str(root / "index")]
     lockfile = str(root / "lock" / "pickforge.lock.json")
     return {
         "resolve": ["resolve", *index, "--toolchain", "8.15"],
@@ -286,28 +264,19 @@ def _run_mutated(root, target, mutation, op: str, url: str | None = None) -> Non
         _empty(root / "out")
 
 
-def _run_local(root, op: str) -> tuple[int, str]:
-    """Run ``op`` on the workspace's index; its exit code and stdout."""
-    return run_op(_argv(root, op), writable=(str(root / "out"), str(root / "cache")))
+def _run_local(root, op: str) -> tuple[int, str, str]:
+    """Run ``op`` on the workspace's index; its exit code, stdout and stderr."""
+    return run_op(_argv(root, op), writable=(str(root / "out"),))
 
 
-def _run_served(root, op: str, url: str, local: tuple[int, str]) -> None:
-    """Run ``op`` on ``url``, the base URL of the served index, with an empty
-    cache directory: it must end with ``local``, the local run's exit code and
-    stdout, and leave one cache entry if the index loads, else none."""
+def _run_served(root, op: str, url: str, local: tuple[int, str, str]) -> str:
+    """Run ``op`` on ``url``, the base URL of the served index: it may write
+    only to the output directory, and must end with the exit code and stdout
+    of ``local``, the local run.  Returns its stderr."""
     _empty(root / "out")
-    shutil.rmtree(root / "http", ignore_errors=True)
-    (root / "http").mkdir()
-    cache = root / "http" / "cache"  # the op makes it
-    writable = (str(root / "out"), str(root / "http"))
-    assert run_op(_argv(root, op, url, cache), writable) == local
-    try:
-        load_repository(root / "index")
-        loads = True
-    except RepositoryError:
-        loads = False
-    # nothing but the one validated copy: no staging directory either
-    assert len(list(cache.iterdir()) if cache.is_dir() else []) == loads
+    code, out, err = run_op(_argv(root, op, url), writable=(str(root / "out"),))
+    assert (code, out) == local[:2]
+    return err
 
 
 _INDEX_FILES = sorted(
@@ -327,7 +296,7 @@ _INDEX_FILES = sorted(
 # a new maintainer leaves the index valid, so smoke runs every step
 @example(relpath="packages/aldergrove/2.0.json", mutation=("retype", 5, "x"), op="smoke")
 # a manifest that does not parse, and an index that drops a package others
-# depend on: over HTTP neither may leave a cache entry
+# depend on: over HTTP each fails as the local load does
 @example(relpath="packages/aldergrove/2.0.json", mutation=("truncate", 5, None), op="resolve")
 @example(relpath="index.json", mutation=("drop", 2, 0), op="policy")
 def test_mutated_index_file(workspace, index_url, relpath, mutation, op):
@@ -380,7 +349,8 @@ def test_local_and_served_loads_agree_on_structure(workspace, index_url, package
         local = _run_local(workspace, "resolve")
         expected = cli.EXIT_OK if edit == "add-unlisted-manifest" else cli.EXIT_IO
         assert local[0] == expected
-        _run_served(workspace, "resolve", index_url, local)
+        served_err = _run_served(workspace, "resolve", index_url, local)
+        assert served_err == local[2].replace(str(workspace / "index"), index_url)
     finally:
         shutil.rmtree(package_dir, ignore_errors=True)
         shutil.copytree(saved, package_dir)

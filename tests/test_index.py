@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import hashlib
+import http.server
 import json
 import os
 import re
-import shutil
 import sys
+import time
 
 import pytest
 
@@ -111,7 +111,8 @@ class TestLoadLocal:
         )
         with pytest.raises(RepositoryError) as exc:
             load_repository(tmp_path)
-        assert str(exc.value) == f"missing package directory {tmp_path / 'packages' / 'beta'}"
+        listing = tmp_path / "packages" / "beta" / "versions.json"
+        assert str(exc.value) == f"missing version listing {listing}"
 
     @pytest.mark.parametrize(
         "listing, problem",
@@ -205,7 +206,8 @@ class TestLoadLocal:
         )
         with pytest.raises(RepositoryError) as exc:
             load_repository(f"{tmp_path}/")
-        assert str(exc.value) == f"missing package directory {tmp_path / 'packages' / 'beta'}"
+        listing = tmp_path / "packages" / "beta" / "versions.json"
+        assert str(exc.value) == f"missing version listing {listing}"
 
     def test_missing_and_unknown_field_reports_the_missing_one(self, tmp_path):
         broken = raw_manifest("alpha", "1.0", extra=1)
@@ -456,108 +458,163 @@ class TestCompatibleVersions:
                     assert all(a > b for a, b in zip(got, got[1:]))
 
 
+def _layout_paths(root) -> list[str]:
+    """Every file a load of the index at ``root`` reads, in the order it reads
+    them, as paths from ``root``."""
+    paths = ["/index.json"]
+    for name in json.loads((root / "index.json").read_bytes())["packages"]:
+        listing = f"/packages/{name}/versions.json"
+        stems = json.loads((root / listing[1:]).read_bytes())
+        paths += [listing, *(f"/packages/{name}/{stem}.json" for stem in stems)]
+    return paths
+
+
+class _EndlessBody(http.server.BaseHTTPRequestHandler):
+    """Answers every request with a body of up to 32 MiB, far more than the
+    cap a test sets, and records whether the client left before its end."""
+
+    outcomes: list[str] = []
+
+    def do_GET(self):
+        self.send_response(200)
+        self.end_headers()
+        try:
+            for _ in range(512):
+                self.wfile.write(b" " * 2**16)
+        except OSError:
+            type(self).outcomes.append("client left")
+            return
+        type(self).outcomes.append("sent whole")
+
+    def log_message(self, *args):
+        pass
+
+
+class _ServerError(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        self.send_error(500)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestHttpIngestion:
-    def test_second_load_hits_cache(self, serve_index, tmp_path):
+    """Every HTTP load fetches the server's current files and writes nothing;
+    ``empty_home`` is where a load that wrote would most likely write."""
+
+    def test_published_version_is_seen_on_the_next_load(self, serve_index, tmp_path, empty_home):
+        start, _ = serve_index
+        source = tmp_path / "src"
+        source.mkdir()
+        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
+        url = start(source)
+        index_bytes = (source / "index.json").read_bytes()
+        assert sorted(load_repository(url).packages["alpha"]) == [parse_version("1.0")]
+        # publishing a version adds a manifest and lists it; index.json, which
+        # names only packages, is left as it was
+        (source / "packages" / "alpha" / "1.1.json").write_text(
+            json.dumps(raw_manifest("alpha", "1.1"))
+        )
+        (source / "packages" / "alpha" / "versions.json").write_text('["1.0", "1.1"]')
+        assert (source / "index.json").read_bytes() == index_bytes
+        assert sorted(load_repository(url).packages["alpha"]) == [
+            parse_version("1.0"), parse_version("1.1"),
+        ]
+        assert list(empty_home.iterdir()) == []
+
+    def test_manifest_revised_in_place_is_seen_on_the_next_load(
+        self, serve_index, tmp_path, empty_home
+    ):
+        start, _ = serve_index
+        source = tmp_path / "src"
+        source.mkdir()
+        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0"), raw_manifest("beta", "1.0")])
+        url = start(source)
+        version = parse_version("1.0")
+        assert load_repository(url).manifest("alpha", version).depends == ()
+        (source / "packages" / "alpha" / "1.0.json").write_text(
+            json.dumps(raw_manifest("alpha", "1.0", depends=[["beta", ">=1.0"]]))
+        )
+        depends = load_repository(url).manifest("alpha", version).depends
+        assert [name for name, _ in depends] == ["beta"]
+        assert list(empty_home.iterdir()) == []
+
+    def test_every_load_requests_every_file(self, serve_index, empty_home):
         start, requests = serve_index
         url = start(PLATFORM_FIXTURE)
-        first = load_repository(url, cache_dir=tmp_path)
-        first_count = len(requests)
-        assert first_count > 1  # index plus per-package files
-        second = load_repository(url, cache_dir=tmp_path)
-        assert second == first
-        # only index.json is re-fetched to learn the digest
-        assert requests[first_count:] == ["/index.json"]
+        layout = _layout_paths(PLATFORM_FIXTURE)
+        assert len(layout) == 160
+        first = load_repository(url)
+        assert requests == layout
+        assert load_repository(url) == first
+        assert requests == layout * 2
+        assert list(empty_home.iterdir()) == []
 
-    def test_changed_index_is_mirrored_afresh(self, serve_index, tmp_path):
-        start, _ = serve_index
-        source = tmp_path / "src"
-        source.mkdir()
-        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
-        cache = tmp_path / "cache"
-        url = start(source)
-        first = load_repository(url, cache_dir=cache)
-        # publish a new version: the index digest changes, so a fresh mirror
-        # is built instead of serving the stale cache entry
-        (source / "packages" / "alpha" / "2.0.json").write_text(
-            json.dumps(raw_manifest("alpha", "2.0"))
-        )
-        (source / "packages" / "alpha" / "versions.json").write_text('["1.0", "2.0"]')
-        (source / "index.json").write_text(
-            json.dumps({"toolchains": ["8.15"], "packages": ["alpha"]}, indent=1)
-        )
-        second = load_repository(url, cache_dir=cache)
-        assert len(first.packages["alpha"]) == 1
-        assert len(second.packages["alpha"]) == 2
-
-    def test_cache_env_var(self, serve_index, tmp_path, monkeypatch):
-        start, _ = serve_index
-        url = start(PLATFORM_FIXTURE)
-        monkeypatch.setenv("PICKFORGE_CACHE", str(tmp_path / "env-cache"))
-        repo = load_repository(url)
-        assert len(repo.packages) == 50
-        assert any((tmp_path / "env-cache").iterdir())
-
-    def test_failed_mirror_leaves_no_cache_entry(self, serve_index, tmp_path):
-        start, _ = serve_index
-        source = tmp_path / "src"
-        source.mkdir()
-        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
-        (source / "packages" / "alpha" / "1.0.json").unlink()  # listed but absent
-        cache = tmp_path / "cache"
-        url = start(source)
-        with pytest.raises(RepositoryError, match="unreachable"):
-            load_repository(url, cache_dir=cache)
-        assert not any(p for p in cache.glob("*") if p.is_dir())
-
-    @pytest.mark.parametrize("broken", ["malformed-manifest", "dangling-dependency"])
-    def test_failed_load_is_not_cached(self, serve_index, tmp_path, broken):
-        # the index is mended without a change to index.json, so a copy of
-        # the broken one left in the cache would be served from then on
+    @pytest.mark.parametrize(
+        "broken", ["malformed-manifest", "dangling-dependency", "missing-listing"]
+    )
+    def test_mended_index_loads_on_the_next_try(self, serve_index, tmp_path, empty_home, broken):
         start, _ = serve_index
         source = tmp_path / "src"
         source.mkdir()
         write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
         manifest = source / "packages" / "alpha" / "1.0.json"
-        good = manifest.read_bytes()
+        listing = source / "packages" / "alpha" / "versions.json"
+        good_manifest, good_listing = manifest.read_bytes(), listing.read_bytes()
         url = start(source)
         if broken == "malformed-manifest":
-            manifest.write_bytes(good[:-1])
+            manifest.write_bytes(good_manifest[:-1])
             expected = f"{url}/packages/alpha/1.0.json: invalid JSON ("
-        else:
+        elif broken == "dangling-dependency":
             manifest.write_text(json.dumps(raw_manifest("alpha", "1.0", depends=[["ghost", "*"]])))
             expected = (
                 f"invalid repository at {url}: "
                 "DanglingDependency: alpha: alpha 1.0 depends on absent package ghost"
             )
-        cache = tmp_path / "cache"
+        else:
+            listing.unlink()
+            expected = f"missing version listing {url}/packages/alpha/versions.json"
         with pytest.raises(RepositoryError) as exc:
-            load_repository(url, cache_dir=cache)
+            load_repository(url)
         assert str(exc.value).startswith(expected)
-        assert list(cache.iterdir()) == []
-        manifest.write_bytes(good)
-        repo = load_repository(url, cache_dir=cache)
-        assert len(repo.packages["alpha"]) == 1
-        assert len(list(cache.iterdir())) == 1
+        manifest.write_bytes(good_manifest)
+        listing.write_bytes(good_listing)
+        assert len(load_repository(url).packages["alpha"]) == 1
+        assert list(empty_home.iterdir()) == []
 
-    def test_broken_cache_entry_is_fetched_afresh(self, serve_index, tmp_path):
-        # a copy of a broken index, as releases that cached failed loads left
+    @pytest.mark.parametrize("missing", ["index", "listing", "manifest"])
+    def test_missing_file_is_named_as_a_local_load_names_it(self, serve_index, tmp_path, missing):
+        # an HTTP 404 reads as a missing file, not as a server that is down
         start, _ = serve_index
         source = tmp_path / "src"
         source.mkdir()
         write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
-        digest = hashlib.sha256((source / "index.json").read_bytes()).hexdigest()[:16]
-        entry = tmp_path / "cache" / digest
-        shutil.copytree(source, entry)
-        (entry / "packages" / "alpha" / "1.0.json").write_bytes(b"{")
+        relpath, message = {
+            "index": ("index.json", "unreachable source: no index.json under {root}"),
+            "listing": ("packages/alpha/versions.json",
+                        "missing version listing {root}/packages/alpha/versions.json"),
+            "manifest": ("packages/alpha/1.0.json", "{root}/packages/alpha/versions.json: "
+                         "listed version '1.0' has no manifest file"),
+        }[missing]
+        (source / relpath).unlink()
         url = start(source)
-        repo = load_repository(url, cache_dir=tmp_path / "cache")
-        assert len(repo.packages["alpha"]) == 1
-        assert list((tmp_path / "cache").iterdir()) == [entry]
-        assert load_repository(entry).packages == repo.packages
+        for root in (source, url):
+            with pytest.raises(RepositoryError) as exc:
+                load_repository(root)
+            assert str(exc.value) == message.format(root=root)
+
+    def test_server_error_is_an_unreachable_source(self, serve_index):
+        start, _ = serve_index
+        url = start(None, _ServerError)
+        with pytest.raises(RepositoryError) as exc:
+            load_repository(url)
+        assert str(exc.value) == (
+            f"unreachable source {url}/index.json: HTTP Error 500: Internal Server Error"
+        )
 
     @pytest.mark.parametrize("hostile", ["name", "version"])
-    def test_hostile_listing_writes_nothing_outside_cache(self, serve_index, tmp_path, hostile):
-        start, _ = serve_index
+    def test_hostile_listing_writes_nothing(self, serve_index, tmp_path, empty_home, hostile):
+        start, requests = serve_index
         source = tmp_path / "src"
         source.mkdir()
         write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
@@ -566,14 +623,17 @@ class TestHttpIngestion:
                 json.dumps({"toolchains": ["8.15"], "packages": ["../../../escaped"]})
             )
         else:
-            # the server normalises the traversing request's path to this
-            # file, so an unchecked mirror fetches it and writes it out
+            # the server normalises the traversing request's path to this file
             (source / "packages" / "alpha" / "versions.json").write_text('["../../../../escaped"]')
             (source / "escaped.json").write_text("{}")
         with pytest.raises(RepositoryError, match="invalid package name|versions.json"):
-            load_repository(start(source), cache_dir=tmp_path / "cache")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "src"]
-        assert not any(p for p in (tmp_path / "cache").glob("*") if p.is_dir())
+            load_repository(start(source))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home", "src"]
+        assert list(empty_home.iterdir()) == []
+        # no request leaves the layout of the names that passed the check
+        assert requests == (
+            ["/index.json"] if hostile == "name" else ["/index.json", "/packages/alpha/versions.json"]
+        )
 
     def test_oversized_body_is_refused(self, serve_index, tmp_path, monkeypatch, capsys):
         start, _ = serve_index
@@ -584,18 +644,32 @@ class TestHttpIngestion:
         manifest.write_text(manifest.read_text() + " " * 4096)  # still valid JSON
         monkeypatch.setattr(index, "FETCH_MAX_BYTES", 1024)
         url = start(source)
-        cache = tmp_path / "cache"
         named = f"{url}/packages/alpha/1.0.json exceeds 1024 bytes"
         with pytest.raises(RepositoryError, match=re.escape(named)):
-            load_repository(url, cache_dir=cache)
-        code = main(["resolve", "--index", url, "--cache-dir", str(cache), "--toolchain", "8.15"])
+            load_repository(url)
+        code = main(["resolve", "--index", url, "--toolchain", "8.15"])
         assert code == EXIT_IO
         assert named in capsys.readouterr().err
-        assert not any(p for p in cache.glob("*") if p.is_dir())
 
-    def test_unreachable_source(self, tmp_path):
+    def test_endless_body_is_read_only_to_the_cap(self, serve_index, monkeypatch):
+        # a body is read to one byte past the cap, then the connection is
+        # dropped: a server that never ends its body cannot fill memory
+        start, _ = serve_index
+        monkeypatch.setattr(index, "FETCH_MAX_BYTES", 1024)
+        _EndlessBody.outcomes = []
+        url = start(None, _EndlessBody)
+        with pytest.raises(RepositoryError) as exc:
+            index._fetch(f"{url}/index.json")
+        assert str(exc.value) == f"{url}/index.json exceeds 1024 bytes"
+        for _ in range(100):  # the handler notices the closed connection on its next write
+            if _EndlessBody.outcomes:
+                break
+            time.sleep(0.05)
+        assert _EndlessBody.outcomes == ["client left"]
+
+    def test_unreachable_source(self):
         with pytest.raises(RepositoryError, match="unreachable"):
-            load_repository("http://127.0.0.1:9/index.json", cache_dir=tmp_path)
+            load_repository("http://127.0.0.1:9/index.json")
 
 
 class TestRepositoryAccessors:

@@ -173,7 +173,7 @@ class TestImportBudget:
         allowed = {"locale"} if "subprocess" in loaded else set()
         assert not loaded & (PARSER_MODULES - allowed)
 
-    def test_resolve_and_release_load_no_reference_or_mirror(self, tmp_path):
+    def test_resolve_and_release_load_no_reference(self, tmp_path):
         values = dict(platform=PLATFORM_FIXTURE, tmp=tmp_path)
         codes, loaded = loaded_after(
             *([arg.format(**values) for arg in OPS[op][0]] for op in ("resolve", "release")),
@@ -181,7 +181,16 @@ class TestImportBudget:
              "--mandatory", "oldstone"],
         )
         assert codes == [0, 0, 2]
-        assert not loaded & {"pickforge.reference", "pickforge.mirror"}
+        assert "pickforge.reference" not in loaded
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_local_ops_load_no_urllib(self, op, lockfiles, tmp_path):
+        # only an HTTP load imports ``urllib.request``, and ``http.client`` with it
+        template, expected_code = OPS[op]
+        values = dict(lockfiles, platform=PLATFORM_FIXTURE, smoke=SMOKE_FIXTURE, tmp=tmp_path)
+        codes, loaded = loaded_after([arg.format(**values) for arg in template])
+        assert codes == [expected_code]
+        assert not loaded & {"urllib.request", "http.client"}
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_only_resolve_and_release_load_the_solver(self, op, lockfiles, tmp_path):

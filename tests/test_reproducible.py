@@ -151,7 +151,7 @@ def test_every_process_and_index_copy_gives_the_same_bytes(tmp_path, serve_index
         }[naming]
         env = {
             **os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONHASHSEED": "0",
-            "PICKFORGE_CACHE": str(cwd / "cache"), **extra_env,
+            **extra_env,
         }
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, json.dumps(_ops(indexes, *requests))],

@@ -32,6 +32,7 @@ from pickforge.solver import (
     Pick,
     SelectionRequest,
     UnsatReport,
+    _unsat_report,
     enumerate_best,
     resolve_pick,
     verify_pick,
@@ -79,6 +80,28 @@ def test_resolving_leaves_the_repository_equal_to_a_fresh_load():
     assert repo.search_table is not None
     assert repo == load_repository(PLATFORM_FIXTURE)
     assert repr(repo) == before
+
+
+class TestUnsatReport:
+    """The report's texts for a given core; the resolver and the reference
+    both call ``_unsat_report``, so only these tests pin its words."""
+
+    def test_lone_culprit_cannot_be_installed(self):
+        assert _unsat_report(V("8.15"), ("a",)) == UnsatReport(
+            culprits=("a",),
+            narrative=("mandatory package a cannot be installed at toolchain 8.15",),
+        )
+
+    def test_each_joint_culprit_is_installable_alone(self):
+        assert _unsat_report(V("8.15"), ("a", "b", "c")) == UnsatReport(
+            culprits=("a", "b", "c"),
+            narrative=(
+                "mandatory packages a, b, c cannot be jointly satisfied at toolchain 8.15",
+                "a: installable alone but incompatible with the other culprits",
+                "b: installable alone but incompatible with the other culprits",
+                "c: installable alone but incompatible with the other culprits",
+            ),
+        )
 
 
 class TestResolvePick:
