@@ -158,6 +158,12 @@ MUTANTS = (
         "a pick that lacks a selected package's dependency passes the verifier",
     ),
     Mutant(
+        "reference-prunes-on-undecided-dependencies", REFERENCE,
+        "if dep < name and (dep not in assignment", "if (dep not in assignment",
+        "the reference's walk drops a prefix whose package depends on a name not yet "
+        "decided, so it misses every assignment where a name depends on a later one",
+    ),
+    Mutant(
         "lockfile-keys-unsorted", RELEASE,
         "json.dumps(payload, sort_keys=True, indent=2)",
         "json.dumps(payload, sort_keys=False, indent=2)",
@@ -169,9 +175,17 @@ MUTANTS = (
         "a lockfile pick that both selects and excludes a package is read without error",
     ),
     Mutant(
-        "lockfile-unknown-fields-accepted", RELEASE,
-        "for key in sorted(set(raw) - expected):", "for key in ():",
-        "a lockfile or pick with a field the format does not define is read without error",
+        "unknown-field-accepted", INDEX,
+        "for key in raw:\n            if key not in fields:",
+        "for key in ():\n            if key not in fields:",
+        "an index.json, manifest, lockfile or lockfile pick with a field its format does not "
+        "define is read without error",
+    ),
+    Mutant(
+        "wrong-type-field-accepted", INDEX,
+        "for key, expected in fields.items():", "for key, expected in ():",
+        "an index.json, manifest, lockfile or lockfile pick with a field of the wrong type is "
+        "read on, to fail later in other words or not at all",
     ),
     Mutant(
         "removals-ignore-deprecation", POLICY,
@@ -238,6 +252,12 @@ MUTANTS = (
         'if getattr(exc, "code", None) == 404:', "if False:",
         "a file an HTTP source lacks reads as a source that is down, not as the missing file "
         "a directory load names",
+    ),
+    Mutant(
+        "http-directory-redirect-followed", INDEX,
+        'is_directory = response.url == url + "/"', "is_directory = False",
+        "an HTTP server's redirect from a file's path to a directory's is followed, so the "
+        "directory listing is parsed as the file instead of reading as a missing file",
     ),
     Mutant(
         "http-body-read-whole", INDEX,

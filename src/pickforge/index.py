@@ -17,7 +17,9 @@ Every local index file is read whole by ``read_file``, without blocking,
 and must be a regular file of at most ``FETCH_MAX_BYTES``, the cap an HTTP
 body has.  A FIFO, a device or a larger file fails the load with a
 RepositoryError naming it.  ``parse_json`` parses every JSON input, lockfiles
-too: UTF-8 only, and what does not parse raises a named error.
+too: UTF-8 only, and what does not parse raises a named error.  Every JSON
+object read, lockfiles too, goes through ``check_fields``, and every text
+parsed through ``parse_field``, so all inputs' errors share one wording.
 """
 
 from __future__ import annotations
@@ -271,17 +273,21 @@ def load_repository(source: str | Path) -> Repository:
 
 def _fetch(url: str) -> bytes:
     """The body at ``url``, at most FETCH_MAX_BYTES.  A 404 raises
-    FileNotFoundError, as ``read_file`` does for a missing file; any other
-    failed request raises RepositoryError."""
+    FileNotFoundError and a redirect to ``url`` plus "/", a directory's URL,
+    IsADirectoryError, as ``read_file`` does; any other failed request raises
+    RepositoryError.  Other redirects are followed."""
     import urllib.request  # only an HTTP load pays for its import
 
     try:
         with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
+            is_directory = response.url == url + "/"
             data = response.read(FETCH_MAX_BYTES + 1)
     except OSError as exc:  # urllib.error.HTTPError, with its ``code``, is one
         if getattr(exc, "code", None) == 404:
             raise FileNotFoundError(f"{url}: HTTP 404") from None
         raise RepositoryError(f"unreachable source {url}: {exc}") from exc
+    if is_directory:
+        raise IsADirectoryError(f"{url}: a directory")
     if len(data) > FETCH_MAX_BYTES:
         raise RepositoryError(f"{url} exceeds {FETCH_MAX_BYTES} bytes")
     return data
@@ -302,6 +308,27 @@ def parse_json(data: bytes, context: str, error: type[PickforgeError] = Reposito
         raise error(f"{context}: invalid JSON ({exc})") from exc
 
 
+def check_fields(raw, fields: dict, context: str, error: type[PickforgeError] = RepositoryError):
+    """``raw``, if it is an object with exactly the keys of ``fields``, each
+    value of the type, or one of the types, that ``fields`` maps it to.
+    Otherwise raises ``error``: "<context>: expected an object", "missing
+    field 'x'" (the first in ``fields`` order), "unknown field 'x'" (the
+    first in file order) or "field 'x' has the wrong type"."""
+    if not isinstance(raw, dict):
+        raise error(f"{context}: expected an object")
+    if raw.keys() != fields.keys():
+        for key in fields:
+            if key not in raw:
+                raise error(f"{context}: missing field {key!r}")
+        for key in raw:
+            if key not in fields:
+                raise error(f"{context}: unknown field {key!r}")
+    for key, expected in fields.items():
+        if not isinstance(raw[key], expected):
+            raise error(f"{context}: field {key!r} has the wrong type")
+    return raw
+
+
 def _load(root: str, read, source: str | Path) -> Repository:
     """The validated repository under ``root``, a directory or an HTTP base
     URL.  ``read(path)`` returns an index file, where ``path`` joins ``root``
@@ -311,20 +338,16 @@ def _load(root: str, read, source: str | Path) -> Repository:
         index = parse_json(read(index_path), index_path)
     except OSError:
         raise RepositoryError(f"unreachable source: no index.json under {root}") from None
-    if not isinstance(index, dict):
-        raise RepositoryError(f"{index_path}: expected an object")
-    for key in ("toolchains", "packages"):
-        if key not in index:
-            raise RepositoryError(f"{index_path}: missing field {key!r}")
+    check_fields(index, {"toolchains": list, "packages": list}, index_path)
     names = index["packages"]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not all(isinstance(n, str) for n in names):
         raise RepositoryError(f"{index_path}: field 'packages' must be a list of names")
     # names become path components, so check them before any path is built
     for name in names:
         if not _NAME_RE.fullmatch(name):
             raise RepositoryError(f"{index_path}: invalid package name {name!r}")
     toolchains_raw = index["toolchains"]
-    if not isinstance(toolchains_raw, list) or not all(isinstance(t, str) for t in toolchains_raw):
+    if not all(isinstance(t, str) for t in toolchains_raw):
         raise RepositoryError(f"{index_path}: field 'toolchains' must be a list of versions")
     # version and constraint texts repeat across manifests, so each is
     # parsed once per load; a failed parse is not cached, so each error
@@ -332,7 +355,7 @@ def _load(root: str, read, source: str | Path) -> Repository:
     versions = functools.cache(parse_version)
     constraints = functools.cache(parse_constraint)
     toolchains = tuple(
-        _parse_field(t, versions, index_path, "toolchains", i)
+        parse_field(t, versions, index_path, "toolchains", i)
         for i, t in enumerate(toolchains_raw)
     )
     packages: dict[str, dict[Version, PackageManifest]] = {}
@@ -396,7 +419,7 @@ def _load_package(
         raise RepositoryError(f"{listing}: expected a list of version strings")
     # a version that parses is digits, dots and a tag: safe in a path
     for i, text in enumerate(stems):
-        _parse_field(text, versions, listing, f"[{i}]")
+        parse_field(text, versions, listing, f"[{i}]")
     manifests: dict[Version, PackageManifest] = {}
     for stem in stems:
         path = os.path.join(pkg_dir, f"{stem}.json")
@@ -436,20 +459,13 @@ _MANIFEST_FIELDS = {
 
 def _read_manifest(data: bytes, path: str, versions, constraints) -> PackageManifest:
     """``versions`` and ``constraints`` turn texts into a Version and a Constraint."""
-    raw = parse_json(data, path)
-    if not isinstance(raw, dict):
-        raise RepositoryError(f"{path}: expected an object")
-    if raw.keys() != _MANIFEST_FIELDS.keys():
-        raise RepositoryError(f"{path}: {_field_set_error(raw)}")
-    for key, expected in _MANIFEST_FIELDS.items():
-        if not isinstance(raw[key], expected):
-            raise RepositoryError(f"{path}: field {key!r} has the wrong type")
+    raw = check_fields(parse_json(data, path), _MANIFEST_FIELDS, path)
     depends = raw["depends"]
     conflicts = raw["conflicts"]
     return PackageManifest(
         raw["name"],
-        _parse_field(raw["version"], versions, path, "version"),
-        _parse_field(raw["toolchain"], constraints, path, "toolchain"),
+        parse_field(raw["version"], versions, path, "version"),
+        parse_field(raw["toolchain"], constraints, path, "toolchain"),
         _parse_edges(depends, constraints, path, "depends") if depends else (),
         _parse_edges(conflicts, constraints, path, "conflicts") if conflicts else (),
         raw["dev"],
@@ -461,23 +477,17 @@ def _read_manifest(data: bytes, path: str, versions, constraints) -> PackageMani
     )
 
 
-def _field_set_error(raw: dict) -> str:
-    """Why a manifest's keys are not the field set: the first missing field
-    in field order, or else the first unknown field in file order."""
-    for key in _MANIFEST_FIELDS:
-        if key not in raw:
-            return f"missing field {key!r}"
-    return next(f"unknown field {key!r}" for key in raw if key not in _MANIFEST_FIELDS)
-
-
-def _parse_field(text: str, parser, context: str, fieldname: str, index: int | None = None):
-    """``index`` is the position of ``text`` in a list field; the error names it."""
+def parse_field(text: str, parser, context: str, fieldname: str, index: int | None = None,
+                error: type[PickforgeError] = RepositoryError):
+    """``parser(text)``; a parse error raises ``error`` as "<context>: field
+    '<fieldname>': <parse error>".  ``index`` is the position of ``text`` in
+    a list field; the error names it."""
     try:
         return parser(text)
     except PickforgeError as exc:
         if index is not None:
             fieldname = f"{fieldname}[{index}]"
-        raise RepositoryError(f"{context}: field {fieldname!r}: {exc}") from exc
+        raise error(f"{context}: field {fieldname!r}: {exc}") from exc
 
 
 def _parse_edges(
@@ -495,5 +505,5 @@ def _parse_edges(
                 f"{context}: field {fieldname!r}[{i}] must be a [name, constraint] pair"
             )
         target, constraint_text = entry
-        edges.append((target, _parse_field(constraint_text, parse, context, fieldname, i)))
+        edges.append((target, parse_field(constraint_text, parse, context, fieldname, i)))
     return tuple(edges)

@@ -12,7 +12,6 @@ the pick they install, and ``verify_pick`` loads no solver.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 from .errors import PickforgeError
@@ -134,9 +133,11 @@ def enumerate_best(
 ) -> Pick | UnsatReport:
     """Exhaustively enumerate every assignment and apply the same objective.
 
-    Deliberately brute force: the reference against which resolve_pick is
-    tested.  Culprits come from its own deletion loop over the same
-    enumeration.  Refuses (never approximates) when the assignment space
+    The reference against which resolve_pick is tested.  ``_assignments``
+    walks the assignments depth first, and prunes only what no complete
+    assignment could pass; every complete one is judged by
+    ``_enum_feasible``.  Culprits come from its own deletion loop over the
+    same enumeration.  Refuses (never approximates) when the assignment space
     exceeds ``limit``.
     """
     from .solver import _Solver, _unsat_report
@@ -149,21 +150,9 @@ def enumerate_best(
             raise EnumerationLimitError(
                 f"assignment space exceeds limit of {limit} assignments"
             )
-    names = sorted(repo.packages)
-    choices = [[None] + sorted(repo.packages[name], reverse=True) for name in names]
-
-    def feasible(mandatory: frozenset[str], optional: frozenset[str]):
-        """Every assignment feasible with these mandatory and optional sets."""
-        for combo in itertools.product(*choices):
-            assignment = {
-                name: version for name, version in zip(names, combo) if version is not None
-            }
-            if _enum_feasible(repo, req, mandatory, optional, assignment):
-                yield assignment
-
     ranks = _version_ranks(repo)
     best = min(
-        feasible(req.mandatory, req.optional),
+        _assignments(repo, req, req.mandatory, req.optional),
         key=lambda assignment: _solution_key(repo, req, assignment, ranks),
         default=None,
     )
@@ -172,9 +161,83 @@ def enumerate_best(
     core = sorted(req.mandatory)
     for name in sorted(req.mandatory):
         trial = [c for c in core if c != name]
-        if next(feasible(frozenset(trial), frozenset()), None) is None:
+        if next(_assignments(repo, req, frozenset(trial), frozenset()), None) is None:
             core = trial
     return _unsat_report(req.toolchain, tuple(core))
+
+
+def _assignments(
+    repo: Repository,
+    req: SelectionRequest,
+    mandatory: frozenset[str],
+    optional: frozenset[str],
+):
+    """Every assignment feasible with these mandatory and optional sets, in
+    the order of ``itertools.product`` over each name's choices: names in
+    sorted order, and for each name first none, then its versions newest
+    first.
+
+    The walk decides one name at a time and drops a prefix as soon as its
+    newest choice fails ``req``'s toolchain, dev or override filter, or
+    breaks a dependency or conflict with a name already decided.  It never
+    prunes on the mandatory set or on reachability: only ``_enum_feasible``
+    checks those, on each complete assignment.
+    """
+    names = sorted(repo.packages)
+    assignment: dict[str, Version] = {}
+
+    def extend(i: int):
+        if i == len(names):
+            if _enum_feasible(repo, req, mandatory, optional, assignment):
+                yield dict(assignment)
+            return
+        name = names[i]
+        for version in [None, *sorted(repo.packages[name], reverse=True)]:
+            if _fits(repo, req, assignment, name, version):
+                if version is not None:
+                    assignment[name] = version
+                yield from extend(i + 1)
+                assignment.pop(name, None)
+
+    return extend(0)
+
+
+def _fits(
+    repo: Repository,
+    req: SelectionRequest,
+    assignment: dict[str, Version],
+    name: str,
+    version: Version | None,
+) -> bool:
+    """Whether deciding ``name`` at ``version`` (None: left out) keeps every
+    check of ``_enum_feasible`` that reads only decided names.  Names are
+    decided in sorted order, so those below ``name`` are decided, and
+    ``assignment`` holds the ones chosen."""
+    for other, chosen in assignment.items():
+        manifest = repo.packages[other][chosen]
+        for dep, constraint in manifest.depends:
+            if dep == name and (version is None or not satisfies(version, constraint)):
+                return False
+        for target, constraint in manifest.conflicts:
+            if target == name and version is not None and satisfies(version, constraint):
+                return False
+    if version is None:
+        return True
+    manifest = repo.packages[name][version]
+    if not satisfies(req.toolchain, manifest.toolchain):
+        return False
+    if name in req.overrides:
+        if version != req.overrides[name]:
+            return False
+    elif manifest.dev and not req.include_dev:
+        return False
+    for dep, constraint in manifest.depends:
+        if dep < name and (dep not in assignment or not satisfies(assignment[dep], constraint)):
+            return False
+    for other, constraint in manifest.conflicts:
+        if other in assignment and satisfies(assignment[other], constraint):
+            return False
+    return True
 
 
 def _enum_feasible(

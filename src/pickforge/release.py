@@ -19,16 +19,18 @@ two-space indentation, and a trailing newline.
     }
 
 Writing is byte-deterministic; read∘write is the identity and
-write∘read∘write equals write.
+write∘read∘write equals write.  Reading names a bad field in the words an
+index file's errors use, such as ``lockfile picks[0]: unknown field 'note'``.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import partial
 
 from .errors import PickforgeError
-from .index import Pick, parse_json
+from .index import Pick, check_fields, parse_field, parse_json
 from .versioning import CalendarVersion, Version, parse_calendar_version, parse_version
 
 
@@ -187,16 +189,22 @@ def write_lockfile(release: Release) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+_LOCKFILE_FIELDS = {"version": str, "predecessor": (str, type(None)), "picks": list}
+_PICK_FIELDS = {"toolchain": str, "selected": dict, "excluded": dict}
+_parse_field = partial(parse_field, error=LockfileError)
+
+
 def read_lockfile(data: bytes) -> Release:
+    """The release a lockfile holds; raises LockfileError naming the field at fault."""
     raw = parse_json(data, "lockfile", LockfileError)
-    _expect_fields(raw, {"version", "predecessor", "picks"}, "lockfile")
-    version = _parse_calver_field(raw["version"], "version")
-    predecessor = None
-    if raw["predecessor"] is not None:
-        predecessor = _parse_calver_field(raw["predecessor"], "predecessor")
-    if not isinstance(raw["picks"], list) or not raw["picks"]:
-        raise LockfileError("field 'picks' must be a non-empty list")
-    picks = [_read_pick(entry, f"picks[{i}]") for i, entry in enumerate(raw["picks"])]
+    check_fields(raw, _LOCKFILE_FIELDS, "lockfile", LockfileError)
+    version = _parse_field(raw["version"], parse_calendar_version, "lockfile", "version")
+    predecessor = raw["predecessor"]
+    if predecessor is not None:
+        predecessor = _parse_field(predecessor, parse_calendar_version, "lockfile", "predecessor")
+    if not raw["picks"]:
+        raise LockfileError("lockfile: field 'picks' must be a non-empty list")
+    picks = [_read_pick(entry, f"lockfile picks[{i}]") for i, entry in enumerate(raw["picks"])]
     ordered = _ordered_picks(picks, LockfileError)
     if predecessor is not None and not version > predecessor:
         raise LockfileError(
@@ -206,50 +214,18 @@ def read_lockfile(data: bytes) -> Release:
 
 
 def _read_pick(raw, context: str) -> Pick:
-    if not isinstance(raw, dict):
-        raise LockfileError(f"{context} must be an object")
-    _expect_fields(raw, {"toolchain", "selected", "excluded"}, context)
-    if not isinstance(raw["toolchain"], str):
-        raise LockfileError(f"{context}.toolchain must be a string")
-    try:
-        toolchain = parse_version(raw["toolchain"])
-    except PickforgeError as exc:
-        raise LockfileError(f"{context}.toolchain: {exc}") from exc
+    check_fields(raw, _PICK_FIELDS, context, LockfileError)
+    toolchain = _parse_field(raw["toolchain"], parse_version, context, "toolchain")
     selected = {}
-    if not isinstance(raw["selected"], dict):
-        raise LockfileError(f"{context}.selected must be an object")
     for name, version_text in raw["selected"].items():
         if not isinstance(version_text, str):
-            raise LockfileError(f"{context}.selected.{name} must be a string")
-        try:
-            selected[name] = parse_version(version_text)
-        except PickforgeError as exc:
-            raise LockfileError(f"{context}.selected.{name}: {exc}") from exc
-    if not isinstance(raw["excluded"], dict) or not all(
-        isinstance(reason, str) for reason in raw["excluded"].values()
-    ):
-        raise LockfileError(f"{context}.excluded must map names to reason strings")
+            raise LockfileError(f"{context}: field 'selected' must map names to version strings")
+        selected[name] = _parse_field(version_text, parse_version, context, f"selected.{name}")
+    if not all(isinstance(reason, str) for reason in raw["excluded"].values()):
+        raise LockfileError(f"{context}: field 'excluded' must map names to reason strings")
     overlap = set(selected) & set(raw["excluded"])
     if overlap:
         raise LockfileError(
             f"{context}: {', '.join(sorted(overlap))} both selected and excluded"
         )
     return Pick(toolchain=toolchain, selected=selected, excluded=dict(raw["excluded"]))
-
-
-def _expect_fields(raw, expected: set[str], context: str) -> None:
-    if not isinstance(raw, dict):
-        raise LockfileError(f"{context} must be an object")
-    for key in sorted(expected - set(raw)):
-        raise LockfileError(f"{context}: missing field {key!r}")
-    for key in sorted(set(raw) - expected):
-        raise LockfileError(f"{context}: unknown field {key!r}")
-
-
-def _parse_calver_field(text, fieldname: str) -> CalendarVersion:
-    if not isinstance(text, str):
-        raise LockfileError(f"field {fieldname!r} must be a string")
-    try:
-        return parse_calendar_version(text)
-    except PickforgeError as exc:
-        raise LockfileError(f"field {fieldname!r}: {exc}") from exc

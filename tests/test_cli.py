@@ -532,6 +532,15 @@ class TestLockfileInputs:
         assert err.startswith("pickforge: error: lockfile: invalid JSON (maximum recursion")
         assert not (tmp_path / "out.lock.json").exists()
 
+    def test_pick_that_selects_and_excludes_a_name_is_refused(self, capsys, lockfile, tmp_path):
+        payload = json.loads(lockfile.read_text())
+        name = min(payload["picks"][1]["selected"])
+        payload["picks"][1]["excluded"][name] = "also excluded"
+        lockfile.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, *lockfile_argv("diff", str(lockfile), tmp_path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"pickforge: error: lockfile picks[1]: {name} both selected and excluded\n"
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     def test_fifo_without_a_writer_reads_as_empty(self, tmp_path):
         fifo = tmp_path / "pickforge.lock.json"

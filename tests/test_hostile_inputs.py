@@ -7,8 +7,9 @@ other than the fixture's ``true`` is not run.
 Each mutated index is also served over localhost HTTP and the op run again
 on its URL: it must end as the local run did, and write nothing outside the
 output directory either.  The same holds when a package directory loses its
-listing, a listed manifest or itself, or gains a manifest that its listing
-omits; then the two runs' errors must also name the same files.
+listing, a listed manifest or itself, has its listing or a listed manifest
+replaced by a directory, or gains a manifest that its listing omits; then
+the two runs' errors must also name the same files.
 
 In the manner of QuickCheck (Claessen & Hughes, ICFP 2000), Hypothesis
 mutates one file of a copy of ``fixtures/platform``, or a lockfile that
@@ -307,13 +308,15 @@ _PACKAGES = sorted(path.name for path in (PLATFORM_FIXTURE / "packages").iterdir
 # edits of a package directory's files, not of their contents; only the last
 # leaves an index that loads, since a manifest the listing omits is not read
 STRUCTURAL_EDITS = (
-    "drop-listing", "drop-listed-manifest", "drop-package-directory", "add-unlisted-manifest",
+    "drop-listing", "drop-listed-manifest", "drop-package-directory", "replace-by-directory",
+    "add-unlisted-manifest",
 )
 
 
 def _edit_structure(package_dir: Path, edit: str, position: int) -> None:
     """Apply ``edit`` to ``package_dir``; ``position`` picks the version of a
-    dropped manifest modulo the number listed."""
+    dropped manifest modulo the number listed, and the file replaced by a
+    directory modulo the number of the listing and the listed manifests."""
     listing = package_dir / "versions.json"
     stems = json.loads(listing.read_bytes())
     if edit == "drop-listing":
@@ -322,6 +325,11 @@ def _edit_structure(package_dir: Path, edit: str, position: int) -> None:
         (package_dir / f"{stems[position % len(stems)]}.json").unlink()
     elif edit == "drop-package-directory":
         shutil.rmtree(package_dir)
+    elif edit == "replace-by-directory":
+        files = [listing, *(package_dir / f"{stem}.json" for stem in stems)]
+        replaced = files[position % len(files)]
+        replaced.unlink()
+        replaced.mkdir()
     else:
         manifest = json.loads((package_dir / f"{stems[-1]}.json").read_bytes())
         manifest["version"] = "99.0"
@@ -337,6 +345,10 @@ def _edit_structure(package_dir: Path, edit: str, position: int) -> None:
 @example(package="aldergrove", edit="drop-listing", position=0)
 @example(package="aldergrove", edit="drop-listed-manifest", position=1)
 @example(package="aldergrove", edit="drop-package-directory", position=0)
+# the listing, then its first manifest: an HTTP server redirects each to a
+# directory listing
+@example(package="aldergrove", edit="replace-by-directory", position=0)
+@example(package="aldergrove", edit="replace-by-directory", position=1)
 @example(package="aldergrove", edit="add-unlisted-manifest", position=0)
 def test_local_and_served_loads_agree_on_structure(workspace, index_url, package, edit, position):
     # one layout for both kinds of source: what a directory load finds, or

@@ -6,11 +6,12 @@ import os
 import re
 import sys
 import time
+from functools import partial
 
 import pytest
 
 from conftest import (
-    PLATFORM_FIXTURE, cli_in_child, make_repo, mf, raw_manifest, write_fixture,
+    PLATFORM_FIXTURE, CountingHandler, cli_in_child, make_repo, mf, raw_manifest, write_fixture,
 )
 from pickforge import index
 from pickforge.cli import EXIT_IO, main
@@ -117,13 +118,21 @@ class TestLoadLocal:
     @pytest.mark.parametrize(
         "listing, problem",
         [
+            (["8.15"], "expected an object"),
             ({"toolchains": ["8.15"]}, "missing field 'packages'"),
+            ({"toolchains": ["8.15"], "packages": ["alpha"], "mirrors": []},
+             "unknown field 'mirrors'"),
             ({"toolchains": "8.15", "packages": ["alpha"]},
+             "field 'toolchains' has the wrong type"),
+            ({"toolchains": ["8.15"], "packages": {"alpha": "1.0"}},
+             "field 'packages' has the wrong type"),
+            ({"toolchains": [8.15], "packages": ["alpha"]},
              "field 'toolchains' must be a list of versions"),
             ({"toolchains": ["8.15"], "packages": ["alpha", "alpha"]},
              "duplicate package name 'alpha'"),
         ],
-        ids=["missing-field", "toolchains-not-a-list", "duplicate-name"],
+        ids=["not-an-object", "missing-field", "unknown-field", "toolchains-not-a-list",
+             "packages-not-a-list", "toolchains-not-texts", "duplicate-name"],
     )
     def test_malformed_index_names_the_problem(self, tmp_path, listing, problem):
         write_fixture(tmp_path, ["8.15"], [raw_manifest("alpha", "1.0")])
@@ -498,6 +507,29 @@ class _ServerError(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _Moved(CountingHandler):
+    """Serves its directory, and redirects each path under /old/ to the same
+    path under /new/."""
+
+    def do_GET(self):
+        if not self.path.startswith("/old/"):
+            return super().do_GET()
+        self.send_response(301)
+        self.send_header("Location", "/new/" + self.path.removeprefix("/old/"))
+        self.end_headers()
+
+
+# a file of a one-package index that a load cannot read: its path, and the
+# error of a directory load, or of an HTTP load, of that index
+_UNREADABLE_FILES = {
+    "index": ("index.json", "unreachable source: no index.json under {root}"),
+    "listing": ("packages/alpha/versions.json",
+                "missing version listing {root}/packages/alpha/versions.json"),
+    "manifest": ("packages/alpha/1.0.json", "{root}/packages/alpha/versions.json: "
+                 "listed version '1.0' has no manifest file"),
+}
+
+
 class TestHttpIngestion:
     """Every HTTP load fetches the server's current files and writes nothing;
     ``empty_home`` is where a load that wrote would most likely write."""
@@ -589,19 +621,40 @@ class TestHttpIngestion:
         source = tmp_path / "src"
         source.mkdir()
         write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
-        relpath, message = {
-            "index": ("index.json", "unreachable source: no index.json under {root}"),
-            "listing": ("packages/alpha/versions.json",
-                        "missing version listing {root}/packages/alpha/versions.json"),
-            "manifest": ("packages/alpha/1.0.json", "{root}/packages/alpha/versions.json: "
-                         "listed version '1.0' has no manifest file"),
-        }[missing]
+        relpath, message = _UNREADABLE_FILES[missing]
         (source / relpath).unlink()
         url = start(source)
         for root in (source, url):
             with pytest.raises(RepositoryError) as exc:
                 load_repository(root)
             assert str(exc.value) == message.format(root=root)
+
+    @pytest.mark.parametrize("directory", ["index", "listing", "manifest"])
+    def test_directory_is_named_as_a_local_load_names_it(self, serve_index, tmp_path, directory):
+        # the server redirects a directory's path to that path plus "/"; the
+        # load does not read the listing it redirects to as the file
+        start, _ = serve_index
+        source = tmp_path / "src"
+        source.mkdir()
+        write_fixture(source, ["8.15"], [raw_manifest("alpha", "1.0")])
+        relpath, message = _UNREADABLE_FILES[directory]
+        (source / relpath).unlink()
+        (source / relpath).mkdir()
+        url = start(source)
+        for root in (source, url):
+            with pytest.raises(RepositoryError) as exc:
+                load_repository(root)
+            assert str(exc.value) == message.format(root=root)
+
+    def test_redirect_to_another_path_is_followed(self, serve_index, tmp_path):
+        start, requests = serve_index
+        (tmp_path / "new").mkdir()
+        write_fixture(tmp_path / "new", ["8.15"], [raw_manifest("alpha", "1.0")])
+        url = start(None, partial(_Moved, directory=str(tmp_path)))
+        assert load_repository(f"{url}/old") == load_repository(tmp_path / "new")
+        assert requests == [
+            "/new/index.json", "/new/packages/alpha/versions.json", "/new/packages/alpha/1.0.json",
+        ]
 
     def test_server_error_is_an_unreachable_source(self, serve_index):
         start, _ = serve_index

@@ -26,6 +26,7 @@ from strategies import releases as release_strategy
 
 V = parse_version
 CV = parse_calendar_version
+DROP = object()  # an edit that removes the value at its path
 
 
 def pick(toolchain: str, **selected: str) -> Pick:
@@ -245,24 +246,6 @@ class TestLockfile:
         assert list(payload) == sorted(payload)
         assert list(payload["picks"][0]) == sorted(payload["picks"][0])
 
-    def test_unknown_field_rejected(self):
-        payload = json.loads(write_lockfile(self.release()))
-        payload["surprise"] = 1
-        with pytest.raises(LockfileError, match="surprise"):
-            read_lockfile(json.dumps(payload).encode())
-
-    def test_missing_field_rejected(self):
-        payload = json.loads(write_lockfile(self.release()))
-        del payload["predecessor"]
-        with pytest.raises(LockfileError, match="predecessor"):
-            read_lockfile(json.dumps(payload).encode())
-
-    def test_unknown_pick_field_names_path(self):
-        payload = json.loads(write_lockfile(self.release()))
-        payload["picks"][1]["note"] = "hi"
-        with pytest.raises(LockfileError, match=r"picks\[1\].*note"):
-            read_lockfile(json.dumps(payload).encode())
-
     def test_bad_version_text(self):
         payload = json.loads(write_lockfile(self.release()))
         payload["picks"][0]["selected"]["core"] = "not-a-version"
@@ -273,11 +256,13 @@ class TestLockfile:
         digits = "1" * 5000
         payload = json.loads(write_lockfile(self.release()))
         payload["picks"][0]["selected"]["core"] = f"1.{digits}"
-        with pytest.raises(LockfileError, match=r"picks\[0\]\.selected\.core: too many digits"):
+        with pytest.raises(
+            LockfileError, match=r"lockfile picks\[0\]: field 'selected\.core': too many digits"
+        ):
             read_lockfile(json.dumps(payload).encode())
         payload = json.loads(write_lockfile(self.release()))
         payload["version"] = f"2022.01.{digits}"
-        with pytest.raises(LockfileError, match="'version': too many digits"):
+        with pytest.raises(LockfileError, match="lockfile: field 'version': too many digits"):
             read_lockfile(json.dumps(payload).encode())
 
     def test_overlapping_selected_excluded(self):
@@ -293,20 +278,60 @@ class TestLockfile:
             read_lockfile(json.dumps(payload).encode())
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "edits, message",
         [
-            ("predecessor", "2022.01.0",
+            ({(): [1]}, "lockfile: expected an object"),
+            # the first missing field in the format's order, not the alphabet's
+            ({("picks",): DROP, ("version",): DROP}, "lockfile: missing field 'version'"),
+            ({("predecessor",): DROP}, "lockfile: missing field 'predecessor'"),
+            ({("surprise",): 1}, "lockfile: unknown field 'surprise'"),
+            ({("surprise",): 1, ("picks",): DROP}, "lockfile: missing field 'picks'"),
+            ({("version",): 2022}, "lockfile: field 'version' has the wrong type"),
+            ({("predecessor",): 2021}, "lockfile: field 'predecessor' has the wrong type"),
+            ({("version",): "2022.1"},
+             "lockfile: field 'version': expected 3 dotted fields, got 2 at offset 0 in '2022.1'"),
+            ({("predecessor",): "22.01.0"},
+             "lockfile: field 'predecessor': expected a 4-digit year at offset 0 in '22.01.0'"),
+            ({("predecessor",): "2022.01.0"},
              "field 'version': 2022.01.0 must be greater than predecessor 2022.01.0"),
-            ("toolchain", 815, "picks[0].toolchain must be a string"),
-            ("toolchain", "8..15", "picks[0].toolchain: expected a digit at offset 2 in '8..15'"),
-            ("selected", ["core"], "picks[0].selected must be an object"),
+            ({("picks",): []}, "lockfile: field 'picks' must be a non-empty list"),
+            ({("picks", 0): "8.14"}, "lockfile picks[0]: expected an object"),
+            ({("picks", 0, "excluded"): DROP}, "lockfile picks[0]: missing field 'excluded'"),
+            ({("picks", 1, "note"): "hi"}, "lockfile picks[1]: unknown field 'note'"),
+            ({("picks", 0, "toolchain"): 815},
+             "lockfile picks[0]: field 'toolchain' has the wrong type"),
+            ({("picks", 0, "toolchain"): "8..15"},
+             "lockfile picks[0]: field 'toolchain': expected a digit at offset 2 in '8..15'"),
+            ({("picks", 0, "selected"): ["core"]},
+             "lockfile picks[0]: field 'selected' has the wrong type"),
+            ({("picks", 0, "selected", "core"): 1},
+             "lockfile picks[0]: field 'selected' must map names to version strings"),
+            ({("picks", 1, "excluded", "legacy"): None},
+             "lockfile picks[1]: field 'excluded' must map names to reason strings"),
         ],
-        ids=["version-not-above-predecessor", "toolchain-not-text", "toolchain-unparsable",
-             "selected-not-an-object"],
+        ids=["not-an-object", "missing-fields-in-format-order", "missing-field", "unknown-field",
+             "missing-and-unknown-field", "version-not-text", "predecessor-not-text",
+             "version-unparsable", "predecessor-unparsable", "version-not-above-predecessor",
+             "empty-picks", "pick-not-an-object", "pick-missing-field", "pick-unknown-field",
+             "toolchain-not-text", "toolchain-unparsable", "selected-not-an-object",
+             "selected-version-not-text", "excluded-reason-not-text"],
     )
-    def test_bad_field_named(self, field, value, message):
+    def test_bad_field_named(self, edits, message):
+        # each edit sets the value at a path of keys, or drops it; the
+        # empty path replaces the whole payload
         payload = json.loads(write_lockfile(self.release()))
-        (payload if field == "predecessor" else payload["picks"][0])[field] = value
+        for path, value in edits.items():
+            if not path:
+                payload = value
+                continue
+            *parents, key = path
+            container = payload
+            for parent in parents:
+                container = container[parent]
+            if value is DROP:
+                del container[key]
+            else:
+                container[key] = value
         with pytest.raises(LockfileError) as exc:
             read_lockfile(json.dumps(payload).encode())
         assert str(exc.value) == message

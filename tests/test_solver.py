@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from conftest import PLATFORM_FIXTURE, REPO_ROOT, make_repo, mf
-from pickforge import cli, solver
+from pickforge import cli, reference, solver
 from pickforge.index import (
     Repository,
     UnknownPackageError,
@@ -972,6 +973,37 @@ class TestStressGenerators:
         assert isinstance(report, UnsatReport)
         assert report.culprits == planted
         assert len(request.mandatory) == size
+
+
+def _product_assignments(repo, req, mandatory, optional):
+    """The enumeration that ``reference._assignments`` prunes: every
+    assignment of ``itertools.product``, each judged by ``_enum_feasible``."""
+    names = sorted(repo.packages)
+    choices = [[None, *sorted(repo.packages[name], reverse=True)] for name in names]
+    for combo in itertools.product(*choices):
+        assignment = {name: version for name, version in zip(names, combo) if version is not None}
+        if reference._enum_feasible(repo, req, mandatory, optional, assignment):
+            yield assignment
+
+
+def test_depth_first_reference_agrees_with_the_product(monkeypatch):
+    # for every mandatory and optional set the reference asks about, culprit
+    # trials included, the walk yields the product's feasible assignments in
+    # the product's order; so its picks and culprits are the product's too
+    rng = random.Random(20220101)
+    instances = [solver_bench.random_instance(rng, 30_000) for _ in range(200)]
+    instances += [solver_bench.conflicted_instance(rng, (4, 7)) for _ in range(20)]
+    walked = [enumerate_best(repo, req) for repo, req in instances]
+    walk = reference._assignments
+
+    def checked(repo, req, mandatory, optional):
+        product = list(_product_assignments(repo, req, mandatory, optional))
+        assert list(walk(repo, req, mandatory, optional)) == product
+        return iter(product)
+
+    monkeypatch.setattr(reference, "_assignments", checked)
+    assert walked == [enumerate_best(repo, req) for repo, req in instances]
+    assert sum(isinstance(outcome, UnsatReport) for outcome in walked) >= 50
 
 
 def test_every_culprit_of_a_joint_conflict_is_installable_alone():
