@@ -111,6 +111,17 @@ MUTANTS = (
         "often the generic one",
     ),
     Mutant(
+        "dev-only-reason-read-as-no-version", SOLVER,
+        "if any(self.fits[table.toolchain_of[c]] for c in table.ids[name]):", "if False:",
+        "an optional with only dev snapshots for the toolchain is said to have no version",
+    ),
+    Mutant(
+        "reason-skips-conflicts-declared-by-the-excluded-package", SOLVER,
+        "for other, constraint in manifest.conflicts:", "for other, constraint in ():",
+        "an optional that declares a conflict with a selected package gets another reason, "
+        "often the generic one",
+    ),
+    Mutant(
         "core-deletes-in-reverse", SOLVER,
         "for name in sorted(self.req.mandatory):",
         "for name in sorted(self.req.mandatory, reverse=True):",
@@ -173,6 +184,22 @@ MUTANTS = (
         "lockfile-pick-overlap-unchecked", RELEASE,
         "if overlap:", "if False:",
         "a lockfile pick that both selects and excludes a package is read without error",
+    ),
+    Mutant(
+        "release-duplicate-toolchain-accepted", RELEASE,
+        "if a == b:", "if False:",
+        "a release, and so a lockfile, may hold two picks of one toolchain",
+    ),
+    Mutant(
+        "release-version-may-equal-predecessor", RELEASE,
+        "not version > predecessor", "not version >= predecessor",
+        "a release, and so a lockfile, may carry its predecessor's version",
+    ),
+    Mutant(
+        "release-picks-unsorted", RELEASE,
+        "picks = tuple(sorted(picks, key=lambda pick: pick.toolchain))", "picks = tuple(picks)",
+        "a release keeps its picks in the order given, so the same picks in another order "
+        "write another lockfile",
     ),
     Mutant(
         "unknown-field-accepted", INDEX,

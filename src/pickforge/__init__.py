@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "reference": ("enumerate_best", "verify_pick"),
     "release": (
-        "PickDiff", "Release", "UpgradeReport", "assemble_release", "diff_picks",
-        "read_lockfile", "upgrade_path", "write_lockfile",
+        "PickDiff", "Release", "UpgradeReport", "diff_picks", "read_lockfile", "upgrade_path",
+        "write_lockfile",
     ),
     "solver": ("SelectionRequest", "UnsatReport", "resolve_pick"),
     "versioning": (

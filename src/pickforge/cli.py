@@ -304,6 +304,8 @@ def cmd_release(args) -> int:
     toolchains = [parse_version(text) for text in args.toolchain]
     overrides = _parse_overrides(args.override)
     previous = _read_lockfile(args.previous) if args.previous else None
+    predecessor = previous.version if previous else None
+    release.check_release(version, toolchains, predecessor)
     repo = load_repository(args.index)
     picks = []
     for toolchain in toolchains or repo.toolchains:
@@ -317,7 +319,7 @@ def cmd_release(args) -> int:
     if args.carry_previous:
         covered = {pick.toolchain for pick in picks}
         picks.extend(pick for pick in previous.picks if pick.toolchain not in covered)
-    rel = release.assemble_release(version, picks, previous=previous)
+    rel = release.assemble_release(version, picks, predecessor)
     removals = []
     if previous is not None:
         from . import policy

@@ -1,8 +1,8 @@
-"""Calendar-versioned releases: assembly, pick diffing, upgrade paths, lockfiles.
+"""Calendar-versioned releases: construction, pick diffing, upgrade paths, lockfiles.
 
-Assembly only bundles picks under a version greater than the predecessor's;
-whether a release may drop a package of its predecessor is the removal rule
-of ``policy.check_removals``.
+``Release`` holds every rule of a release: one pick or more, no two of one
+toolchain, kept in toolchain order, and a version above the predecessor's.
+Whether a release may drop a package is ``policy.check_removals``' rule.
 
 Lockfile format (``pickforge.lock.json``): canonical JSON with sorted keys,
 two-space indentation, and a trailing newline.
@@ -18,9 +18,10 @@ two-space indentation, and a trailing newline.
       "version": "2022.01.0"
     }
 
-Writing is byte-deterministic; read∘write is the identity and
-write∘read∘write equals write.  Reading names a bad field in the words an
-index file's errors use, such as ``lockfile picks[0]: unknown field 'note'``.
+For every ``Release``, writing is byte-deterministic, read∘write is the
+identity and write∘read∘write equals write.  Reading names a bad field in
+the words an index file's errors use, such as ``lockfile picks[0]: unknown
+field 'note'``, and a broken release rule as ``lockfile: <its message>``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .versioning import CalendarVersion, Version, parse_calendar_version, parse_
 
 
 class ReleaseError(PickforgeError):
-    """A release cannot be assembled as requested."""
+    """A release cannot be built as requested."""
 
 
 class LockfileError(PickforgeError):
@@ -43,9 +44,23 @@ class LockfileError(PickforgeError):
 
 
 class Release(namedtuple("Release", "version picks predecessor", defaults=(None,))):
-    """Several picks, at most one per toolchain, under one calendar version."""
+    """Several picks, at most one per toolchain, under one calendar version.
+
+    The constructor sorts the picks into a tuple and raises ReleaseError if
+    there are none or they break ``check_release``."""
 
     __slots__ = ()
+
+    def __new__(cls, version: CalendarVersion, picks, predecessor: CalendarVersion | None = None):
+        picks = tuple(sorted(picks, key=lambda pick: pick.toolchain))
+        if not picks:
+            raise ReleaseError("a release needs at least one pick")
+        check_release(version, [pick.toolchain for pick in picks], predecessor)
+        return super().__new__(cls, version, picks, predecessor)
+
+    @classmethod
+    def _make(cls, iterable) -> Release:  # so that _replace checks too
+        return cls(*iterable)
 
     def pick_for(self, toolchain: Version) -> Pick:
         for pick in self.picks:
@@ -57,32 +72,20 @@ class Release(namedtuple("Release", "version picks predecessor", defaults=(None,
         return [pick.toolchain for pick in self.picks]
 
 
-def assemble_release(
-    version: CalendarVersion, picks: list[Pick], previous: Release | None = None
-) -> Release:
-    """Bundle picks into a release that succeeds ``previous``, if given.
-
-    Whether the release drops a package it should keep is a policy
-    question: ``policy.check_removals`` answers it.
-    """
-    if not picks:
-        raise ReleaseError("a release needs at least one pick")
-    ordered = _ordered_picks(picks, ReleaseError)
-    predecessor = previous.version if previous is not None else None
+def check_release(version: CalendarVersion, toolchains: list[Version], predecessor) -> None:
+    """Raise ReleaseError if two ``toolchains`` are equal as versions (as
+    ``8.15`` and ``8.15.0`` are) or ``version`` is not above ``predecessor``."""
+    ordered = sorted(toolchains)
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise ReleaseError(f"duplicate pick for toolchain {a}")
     if predecessor is not None and not version > predecessor:
         raise ReleaseError(
             f"release version {version} must be greater than predecessor {predecessor}"
         )
-    return Release(version=version, picks=ordered, predecessor=predecessor)
 
 
-def _ordered_picks(picks: list[Pick], error: type[PickforgeError]) -> list[Pick]:
-    """The picks in toolchain order; raises ``error`` if two share a toolchain."""
-    ordered = sorted(picks, key=lambda pick: pick.toolchain)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.toolchain == b.toolchain:
-            raise error(f"duplicate pick for toolchain {a.toolchain}")
-    return ordered
+assemble_release = Release  # the name perfbench/layers.py times construction under
 
 
 class PickDiff(namedtuple("PickDiff", "added removed upgraded downgraded unchanged")):
@@ -202,15 +205,11 @@ def read_lockfile(data: bytes) -> Release:
     predecessor = raw["predecessor"]
     if predecessor is not None:
         predecessor = _parse_field(predecessor, parse_calendar_version, "lockfile", "predecessor")
-    if not raw["picks"]:
-        raise LockfileError("lockfile: field 'picks' must be a non-empty list")
     picks = [_read_pick(entry, f"lockfile picks[{i}]") for i, entry in enumerate(raw["picks"])]
-    ordered = _ordered_picks(picks, LockfileError)
-    if predecessor is not None and not version > predecessor:
-        raise LockfileError(
-            f"field 'version': {version} must be greater than predecessor {predecessor}"
-        )
-    return Release(version=version, picks=ordered, predecessor=predecessor)
+    try:
+        return Release(version, picks, predecessor)
+    except ReleaseError as exc:
+        raise LockfileError(f"lockfile: {exc}") from None
 
 
 def _read_pick(raw, context: str) -> Pick:

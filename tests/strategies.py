@@ -163,23 +163,34 @@ def picks(draw, min_packages=0, max_packages=6) -> Pick:
     )
 
 
+def _release_pick(draw, toolchain_text: str) -> Pick:
+    pick = draw(picks())._replace(toolchain=parse_version(toolchain_text))
+    if draw(st.booleans()):
+        pick = pick._replace(excluded={
+            name: f"conflict with {name}"
+            for name in draw(st.lists(st.sampled_from(["x", "y", "z"]), max_size=2, unique=True))
+            if name not in pick.selected
+        })
+    return pick
+
+
 @st.composite
 def releases(draw) -> Release:
     toolchain_texts = draw(
         st.lists(st.sampled_from(_TOOL_POOL), min_size=1, max_size=4, unique=True)
     )
-    release_picks = []
-    for text in sorted(toolchain_texts, key=parse_version):
-        pick = draw(picks())._replace(toolchain=parse_version(text))
-        if draw(st.booleans()):
-            pick = pick._replace(excluded={
-                name: f"conflict with {name}"
-                for name in draw(
-                    st.lists(st.sampled_from(["x", "y", "z"]), max_size=2, unique=True)
-                )
-                if name not in pick.selected
-            })
-        release_picks.append(pick)
+    release_picks = [_release_pick(draw, text) for text in toolchain_texts]
     version = draw(calendar_versions)
     predecessor = draw(st.none() | calendar_versions.filter(lambda c: c < version))
     return Release(version=version, picks=release_picks, predecessor=predecessor)
+
+
+@st.composite
+def release_arguments(draw) -> tuple:
+    """``(version, picks, predecessor)`` that may break any rule of a release:
+    picks in any order, none at all, or two of one toolchain (``8.15`` and
+    ``8.15.0`` among them), and a predecessor that may not be older."""
+    toolchain_texts = draw(st.lists(st.sampled_from([*_TOOL_POOL, "8.15.0"]), max_size=4))
+    version = draw(calendar_versions)
+    predecessor = draw(st.none() | st.just(version) | calendar_versions)
+    return version, [_release_pick(draw, text) for text in toolchain_texts], predecessor

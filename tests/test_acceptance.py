@@ -37,7 +37,7 @@ from pickforge.policy import (
     coordinate,
 )
 from pickforge.release import (
-    assemble_release,
+    Release,
     read_lockfile,
     upgrade_path,
     write_lockfile,
@@ -170,7 +170,7 @@ def fixture_release():
         assert isinstance(result, Pick)
         picks.append(result)
     elapsed = time.perf_counter() - started
-    release = assemble_release(parse_calendar_version("2022.01.0"), picks)
+    release = Release(parse_calendar_version("2022.01.0"), picks)
     return repo, release, elapsed
 
 

@@ -21,7 +21,9 @@ from conftest import (
 )
 from pickforge import cli
 from pickforge.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_UNSAT, EXIT_USAGE, main
-from pickforge.release import LockfileError, read_lockfile
+from pickforge.index import Pick
+from pickforge.release import LockfileError, Release, read_lockfile, write_lockfile
+from pickforge.versioning import parse_calendar_version, parse_version
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -318,6 +320,26 @@ class TestRelease:
         )
         assert code == EXIT_IO
         assert "'bogus'" in err and "missing-index" not in err
+
+    @pytest.mark.parametrize("options, message", [
+        (["--version", "2022.06.0", "--toolchain", "8.15", "--toolchain", "8.15.0"],
+         "duplicate pick for toolchain 8.15"),
+        (["--version", "2022.01.0"],
+         "release version 2022.01.0 must be greater than predecessor 2022.01.0"),
+        (["--version", "2021.12.0"],
+         "release version 2021.12.0 must be greater than predecessor 2022.01.0"),
+    ], ids=["duplicate-toolchain", "version-equal-to-predecessor", "version-below-predecessor"])
+    def test_release_rules_fail_before_the_index_loads(self, capsys, tmp_path, options, message):
+        previous = tmp_path / "previous.lock.json"
+        previous.write_bytes(write_lockfile(Release(
+            parse_calendar_version("2022.01.0"), [Pick(parse_version("8.15"), {})]
+        )))
+        code, out, err = run_cli(
+            capsys, "release", "--index", str(tmp_path / "missing-index"),
+            "--previous", str(previous), *options, "--output", str(tmp_path / "out.lock.json"),
+        )
+        assert (code, out, err) == (EXIT_IO, "", f"pickforge: error: {message}\n")
+        assert not (tmp_path / "out.lock.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--strict-removals"], ["--carry-previous"], ["--carry-previous", "--strict-removals"],

@@ -19,11 +19,11 @@ PUBLIC_NAMES = [
     "CalendarVersion", "Constraint", "CoordinationReport", "InstallPlan", "PackageManifest",
     "Pick", "PickDiff", "PickforgeError", "Release", "Repository", "SelectionRequest",
     "SmokeReport", "SuccessionReport", "UnsatReport", "UpgradeReport", "Version",
-    "assemble_release", "check_removals", "check_succession", "compatible_versions",
-    "coordinate", "diff_picks", "emit_install_script", "enumerate_best", "install_plan",
-    "load_repository", "parse_calendar_version", "parse_constraint", "parse_version",
-    "read_lockfile", "resolve_pick", "run_plan", "satisfies", "upgrade_path",
-    "validate_repository", "verify_pick", "write_lockfile",
+    "check_removals", "check_succession", "compatible_versions", "coordinate", "diff_picks",
+    "emit_install_script", "enumerate_best", "install_plan", "load_repository",
+    "parse_calendar_version", "parse_constraint", "parse_version", "read_lockfile",
+    "resolve_pick", "run_plan", "satisfies", "upgrade_path", "validate_repository",
+    "verify_pick", "write_lockfile",
 ]
 
 

@@ -14,7 +14,7 @@ from pickforge.policy import (
     check_succession,
     coordinate,
 )
-from pickforge.release import Release, assemble_release
+from pickforge.release import Release
 from pickforge.solver import Pick, SelectionRequest, resolve_pick
 from pickforge.versioning import parse_calendar_version, parse_version, satisfies
 
@@ -237,17 +237,17 @@ class TestCheckRemovals:
                 mf("extra", "1.0", deprecated=deprecate_extra),
             ],
         )
-        previous = assemble_release(
+        previous = Release(
             CV("2022.01.0"),
             [Pick(toolchain=V("8.14"), selected={"core": V("1.0"), "extra": V("1.0")})],
         )
         new_selected = {"core": V("1.0")}
         if not drop_extra:
             new_selected["extra"] = V("1.0")
-        candidate = assemble_release(
+        candidate = Release(
             CV("2022.06.0"),
             [Pick(toolchain=V("8.15"), selected=new_selected)],
-            previous=previous,
+            previous.version,
         )
         return repo, previous, candidate
 
@@ -320,6 +320,6 @@ class TestCheckRemovals:
 
     def test_predecessor_must_match(self):
         repo, previous, candidate = self.releases(drop_extra=False)
-        orphan = assemble_release(CV("2023.01.0"), list(candidate.picks))
+        orphan = Release(CV("2023.01.0"), candidate.picks)
         with pytest.raises(PolicyError, match="predecessor"):
             check_removals(previous, orphan, repo)

@@ -12,7 +12,6 @@ from pickforge.release import (
     LockfileError,
     Release,
     ReleaseError,
-    assemble_release,
     diff_picks,
     read_lockfile,
     upgrade_path,
@@ -22,6 +21,7 @@ from pickforge.solver import Pick, UnsatReport
 from pickforge.versioning import parse_calendar_version, parse_version
 
 from strategies import picks as pick_strategy
+from strategies import release_arguments
 from strategies import releases as release_strategy
 
 V = parse_version
@@ -59,8 +59,10 @@ class TestRecordEquality:
 
 
 class TestAssembleRelease:
+    """The rules a ``Release`` keeps, checked as it is built."""
+
     def test_four_picks(self):
-        release = assemble_release(
+        release = Release(
             CV("2022.01.0"),
             [pick(t, core="1.0") for t in ("8.12", "8.13", "8.14", "8.15")],
         )
@@ -68,30 +70,42 @@ class TestAssembleRelease:
         assert release.predecessor is None
 
     def test_sorts_picks_by_toolchain(self):
-        release = assemble_release(CV("2022.01.0"), [pick("8.15"), pick("8.12")])
+        release = Release(CV("2022.01.0"), [pick("8.15"), pick("8.12")])
         assert [str(t) for t in release.toolchains()] == ["8.12", "8.15"]
+        assert isinstance(release.picks, tuple)
 
     def test_duplicate_toolchain_rejected(self):
-        with pytest.raises(ReleaseError, match="duplicate"):
-            assemble_release(CV("2022.01.0"), [pick("8.15"), pick("8.15")])
+        # toolchains compare as versions: 8.15 and 8.15.0 are one
+        for toolchains in (["8.15", "8.15"], ["8.15", "8.14", "8.15.0"]):
+            with pytest.raises(ReleaseError, match="^duplicate pick for toolchain 8.15$"):
+                Release(CV("2022.01.0"), [pick(t) for t in toolchains])
 
     def test_version_must_advance(self):
-        previous = assemble_release(CV("2022.01.0"), [pick("8.15")])
+        previous = Release(CV("2022.01.0"), [pick("8.15")])
+        with pytest.raises(
+            ReleaseError,
+            match="^release version 2022.01.0 must be greater than predecessor 2022.01.0$",
+        ):
+            Release(CV("2022.01.0"), [pick("8.15")], previous.version)
         with pytest.raises(ReleaseError, match="greater"):
-            assemble_release(CV("2022.01.0"), [pick("8.15")], previous=previous)
+            Release(CV("2021.12.0"), [pick("8.15")], previous.version)
 
     def test_empty_rejected(self):
-        with pytest.raises(ReleaseError):
-            assemble_release(CV("2022.01.0"), [])
+        with pytest.raises(ReleaseError, match="^a release needs at least one pick$"):
+            Release(CV("2022.01.0"), [])
+
+    def test_replace_keeps_the_rules(self):
+        release = Release(CV("2022.01.0"), [pick("8.15")])
+        assert release._replace(picks=[pick("8.15"), pick("8.12")]).toolchains() == [
+            V("8.12"), V("8.15")
+        ]
+        with pytest.raises(ReleaseError, match="duplicate"):
+            release._replace(picks=[pick("8.15"), pick("8.15")])
 
     def test_dropping_package_warns(self):
-        # Assembly accepts the drop; the warning is check_removals' to give.
-        previous = assemble_release(
-            CV("2022.01.0"), [pick("8.14", core="1.0", extra="1.0")]
-        )
-        release = assemble_release(
-            CV("2022.06.0"), [pick("8.15", core="1.0")], previous=previous
-        )
+        # The constructor accepts the drop; the warning is check_removals' to give.
+        previous = Release(CV("2022.01.0"), [pick("8.14", core="1.0", extra="1.0")])
+        release = Release(CV("2022.06.0"), [pick("8.15", core="1.0")], previous.version)
         assert release.predecessor == previous.version
         repo = make_repo(["8.14", "8.15"], [mf("core", "1.0"), mf("extra", "1.0")])
         warnings = check_removals(previous, release, repo)
@@ -102,12 +116,8 @@ class TestAssembleRelease:
         repo = make_repo(
             ["8.14", "8.15"], [mf("core", "1.0"), mf("extra", "1.0", deprecated=True)]
         )
-        previous = assemble_release(
-            CV("2022.01.0"), [pick("8.14", core="1.0", extra="1.0")]
-        )
-        release = assemble_release(
-            CV("2022.06.0"), [pick("8.15", core="1.0")], previous=previous
-        )
+        previous = Release(CV("2022.01.0"), [pick("8.14", core="1.0", extra="1.0")])
+        release = Release(CV("2022.06.0"), [pick("8.15", core="1.0")], previous.version)
         assert check_removals(previous, release, repo) == []
 
 
@@ -158,7 +168,7 @@ class TestDiffPicks:
 
 class TestUpgradePath:
     def release(self):
-        release = assemble_release(
+        release = Release(
             CV("2022.01.0"),
             [
                 pick("8.12", core="1.0"),
@@ -188,7 +198,7 @@ class TestUpgradePath:
             upgrade_path(self.release(), V("8.13"), V("9.0"))
 
     def test_removal_breaks_monotonicity(self):
-        release = assemble_release(
+        release = Release(
             CV("2022.01.0"),
             [pick("8.14", core="1.0", lib="1.0"), pick("8.15", core="1.0")],
         )
@@ -214,7 +224,7 @@ class TestUpgradePath:
 
 class TestLockfile:
     def release(self):
-        release = assemble_release(
+        release = Release(
             CV("2022.01.0"),
             [
                 pick("8.14", core="1.0"),
@@ -293,8 +303,9 @@ class TestLockfile:
             ({("predecessor",): "22.01.0"},
              "lockfile: field 'predecessor': expected a 4-digit year at offset 0 in '22.01.0'"),
             ({("predecessor",): "2022.01.0"},
-             "field 'version': 2022.01.0 must be greater than predecessor 2022.01.0"),
-            ({("picks",): []}, "lockfile: field 'picks' must be a non-empty list"),
+             "lockfile: release version 2022.01.0 must be greater than predecessor 2022.01.0"),
+            ({("picks",): []}, "lockfile: a release needs at least one pick"),
+            ({("picks", 1, "toolchain"): "8.14.0"}, "lockfile: duplicate pick for toolchain 8.14"),
             ({("picks", 0): "8.14"}, "lockfile picks[0]: expected an object"),
             ({("picks", 0, "excluded"): DROP}, "lockfile picks[0]: missing field 'excluded'"),
             ({("picks", 1, "note"): "hi"}, "lockfile picks[1]: unknown field 'note'"),
@@ -312,9 +323,9 @@ class TestLockfile:
         ids=["not-an-object", "missing-fields-in-format-order", "missing-field", "unknown-field",
              "missing-and-unknown-field", "version-not-text", "predecessor-not-text",
              "version-unparsable", "predecessor-unparsable", "version-not-above-predecessor",
-             "empty-picks", "pick-not-an-object", "pick-missing-field", "pick-unknown-field",
-             "toolchain-not-text", "toolchain-unparsable", "selected-not-an-object",
-             "selected-version-not-text", "excluded-reason-not-text"],
+             "empty-picks", "duplicate-toolchain", "pick-not-an-object", "pick-missing-field",
+             "pick-unknown-field", "toolchain-not-text", "toolchain-unparsable",
+             "selected-not-an-object", "selected-version-not-text", "excluded-reason-not-text"],
     )
     def test_bad_field_named(self, edits, message):
         # each edit sets the value at a path of keys, or drops it; the
@@ -346,3 +357,25 @@ class TestLockfile:
         recovered = read_lockfile(data)
         assert recovered == release
         assert write_lockfile(recovered) == data
+
+    def test_round_trip_unordered_picks(self):
+        release = Release(CV("2022.01.0"), [pick("8.15", core="1.1"), pick("8.12", core="1.0")])
+        data = write_lockfile(release)
+        assert [entry["toolchain"] for entry in json.loads(data)["picks"]] == ["8.12", "8.15"]
+        assert read_lockfile(data) == release
+
+    @given(release_arguments())
+    def test_round_trip_any_release(self, arguments):
+        version, picks, predecessor = arguments
+        toolchains = [p.toolchain for p in picks]
+        valid = (bool(picks) and len(set(toolchains)) == len(toolchains)
+                 and (predecessor is None or version > predecessor))
+        try:
+            release = Release(version, picks, predecessor)
+        except ReleaseError:
+            assert not valid
+            return
+        assert valid
+        data = write_lockfile(release)
+        assert read_lockfile(data) == release
+        assert write_lockfile(read_lockfile(data)) == data
